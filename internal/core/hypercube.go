@@ -16,6 +16,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync"
 
 	"mpcquery/internal/aggregate"
 	"mpcquery/internal/data"
@@ -321,35 +322,7 @@ func runPlanSeeded(pl *Plan, db *data.Database, seed int64, capBits float64, agg
 	}
 
 	seedInput(cluster, q, gp)
-
-	// Precompute, per atom, the grid dimension of each column.
-	atomDims := make([][]int, q.NumAtoms())
-	for j, a := range q.Atoms {
-		dims := make([]int, len(a.Vars))
-		for c, v := range a.Vars {
-			dims[c] = q.VarIndex(v)
-		}
-		atomDims[j] = dims
-	}
-
-	// Round 1: every server routes its local tuples to their destination
-	// subcubes.
-	cluster.Round("hypercube-shuffle", func(s int, inbox *engine.Inbox, emit *engine.Emitter) {
-		bins := make([]int, 8)
-		inbox.Each(func(kind int, tuple []int64) {
-			dims := atomDims[kind]
-			if cap(bins) < len(dims) {
-				bins = make([]int, len(dims))
-			}
-			bins = bins[:len(dims)]
-			for c, d := range dims {
-				bins[c] = family.Bin(d, tuple[c], grid.Shares[d])
-			}
-			grid.Destinations(dims, bins, func(dest int) {
-				emit.EmitTuple(dest, kind, tuple)
-			})
-		})
-	})
+	shuffle(cluster, "hypercube-shuffle", q, grid, family)
 
 	// Computation phase: local evaluation on every server (no
 	// communication). Each worker keeps one kernel scratch whose arenas are
@@ -364,8 +337,9 @@ func runPlanSeeded(pl *Plan, db *data.Database, seed int64, capBits float64, agg
 	if agg == nil {
 		// Output path: barrier-kernel materialization by default; the
 		// streamed kernel when streaming is on (chunked evaluation, same
-		// bytes — the memoized index cache keeps hit/miss totals identical);
-		// and when a sink is set the output never materializes at all —
+		// bytes — the memoized index cache keeps hit/miss totals identical;
+		// its chunks gather in fixed-size blocks, copied once into the
+		// output); and when a sink is set the output never materializes at all —
 		// chunks flow straight out and Result.Output stays nil, in both
 		// modes, so fingerprints agree.
 		streamChunk := env.StreamChunk
@@ -373,6 +347,10 @@ func runPlanSeeded(pl *Plan, db *data.Database, seed int64, capBits float64, agg
 			streamChunk = engine.DefaultStreamChunk
 		}
 		outputs := make([]*data.Relation, gp)
+		var streamed [][][]int64 // per server, when streaming into Output
+		if env.Streaming && env.Sink == nil {
+			streamed = make([][][]int64, gp)
+		}
 		cluster.Compute(func(s, w int) {
 			if cluster.Inbox(s).NumTuples() == 0 {
 				outputs[s] = data.NewRelation(q.Name, q.NumVars())
@@ -390,17 +368,18 @@ func runPlanSeeded(pl *Plan, db *data.Database, seed int64, capBits float64, agg
 				})
 				outputs[s] = data.NewRelation(q.Name, q.NumVars())
 			case env.Streaming:
-				o := data.NewRelation(q.Name, q.NumVars())
 				sc.EvaluateAtomsStream(q, frag, cache, streamChunk, func(vals []int64) {
-					o.AppendVals(vals)
+					streamed[s] = appendBlocks(streamed[s], vals, q.NumVars())
 				})
-				outputs[s] = o
 			default:
 				outputs[s] = sc.EvaluateAtoms(q, frag, cache)
 			}
 		})
 		scratches.Release()
-		if env.Sink == nil {
+		switch {
+		case streamed != nil:
+			out = concatBlocks(q.Name, q.NumVars(), streamed)
+		case env.Sink == nil:
 			out = data.Concat(q.Name, q.NumVars(), outputs)
 		}
 	} else {
@@ -432,6 +411,79 @@ func runPlanSeeded(pl *Plan, db *data.Database, seed int64, capBits float64, agg
 		ComputeSeconds:     computeS,
 		CommSeconds:        commS,
 	}
+}
+
+// streamBlock is the size, in values, of the blocks a streamed output
+// gathers in before its one final copy: a block never moves once written,
+// so no growing buffer copies the output over and over.
+const streamBlock = 1 << 14
+
+// appendBlocks appends a chunk of whole rows of the given arity to blocks.
+func appendBlocks(blocks [][]int64, vals []int64, arity int) [][]int64 {
+	for len(vals) > 0 {
+		if n := len(blocks); n == 0 || len(blocks[n-1]) == cap(blocks[n-1]) {
+			blocks = append(blocks, make([]int64, 0, max(streamBlock/arity, 1)*arity))
+		}
+		last := &blocks[len(blocks)-1]
+		k := min(len(vals), cap(*last)-len(*last))
+		*last = append(*last, vals[:k]...)
+		vals = vals[k:]
+	}
+	return blocks
+}
+
+// concatBlocks is data.Concat over per-server block lists.
+func concatBlocks(name string, arity int, servers [][][]int64) *data.Relation {
+	out := data.NewRelation(name, arity)
+	total := 0
+	for _, blocks := range servers {
+		for _, b := range blocks {
+			total += len(b)
+		}
+	}
+	out.Grow(total / arity)
+	for _, blocks := range servers {
+		for _, b := range blocks {
+			out.AppendVals(b)
+		}
+	}
+	return out
+}
+
+// routeWindow caps the tuples routed per EmitRouted call, and so the bases
+// scratch, which otherwise grows only to the largest inbox batch routed.
+const routeWindow = 4096
+
+// basesPool recycles the bases scratch across servers and runs.
+var basesPool = sync.Pool{New: func() any { return new([]int) }}
+
+// shuffle runs the HyperCube communication round of Section 3.1: every
+// server routes each tuple of its inbox to the destination subcube D(t) of
+// its atom. Each atom's route is compiled once; each inbox batch is routed
+// a window at a time — bases for the window, then one counting scatter
+// into the emitter's per-destination buffers.
+func shuffle(cluster *engine.Cluster, name string, q *query.Query, grid *hashing.Grid, family *hashing.Family) {
+	routes := make([]*hashing.Route, q.NumAtoms())
+	for j, a := range q.Atoms {
+		dims := make([]int, len(a.Vars))
+		for c, v := range a.Vars {
+			dims[c] = q.VarIndex(v)
+		}
+		routes[j] = grid.Compile(dims)
+	}
+	cluster.Round(name, func(s int, inbox *engine.Inbox, emit *engine.Emitter) {
+		scratch := basesPool.Get().(*[]int)
+		inbox.EachBatch(func(b engine.Batch) {
+			rt := routes[b.Kind]
+			for vals := b.Vals; len(vals) > 0; {
+				w := vals[:min(len(vals), routeWindow*b.Arity)]
+				vals = vals[len(w):]
+				*scratch = rt.Bases(family, w, (*scratch)[:0])
+				emit.EmitRouted(b.Kind, b.Arity, w, *scratch, rt.Offsets)
+			}
+		})
+		basesPool.Put(scratch)
+	})
 }
 
 // runAggregatePhases runs the aggregate tail of a plan execution: the local

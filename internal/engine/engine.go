@@ -14,8 +14,11 @@
 // Communication is batched and columnar: a server's emissions are grouped
 // into per-(sender → destination) flat []int64 buffers partitioned by
 // message kind, delivery is sharded by destination across GOMAXPROCS
-// goroutines, and each server's inbox arena is reused across rounds — no
-// per-tuple allocation happens on the steady-state path. Delivery order is
+// goroutines, and inbox arenas and emitters (with their send buffers) are
+// pooled across rounds and clusters. Routed emission (EmitRouted) fills the
+// send buffers with a stable counting scatter, sized exactly from per-
+// destination counts — so no per-tuple allocation happens on the
+// steady-state path, routing included. Delivery order is
 // deterministic given the algorithm's emissions, so seeded runs are
 // reproducible: each destination receives batches grouped by sending server
 // id, and within one sender in emission order (with a sender's broadcasts
@@ -25,6 +28,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -192,7 +196,24 @@ type outBatch struct {
 	kind  int
 	arity int
 	vals  []int64
+	used  int // largest len(vals) of earlier rounds since the emitter was bound
 }
+
+// trim readies a batch slot for the emitter pool: it drops a buffer more
+// than trimFactor times larger than the most the slot held since the
+// emitter was bound (or, for a slot the released cluster left idle, in its
+// last use), so pooled emitters hold about what recent runs used rather
+// than the largest run they have ever seen.
+func (b *outBatch) trim() {
+	if cap(b.vals) > trimFactor*max(b.used, len(b.vals), 32) {
+		b.vals = nil
+	}
+	b.used = 0
+}
+
+// trimFactor leaves room for runs of different shapes to share pooled
+// buffers: at 8 the batch-large benchmark mix reuses nearly every one.
+const trimFactor = 8
 
 // sendBuf accumulates a sender's pending batches for one destination (or
 // its broadcasts). Resetting keeps every vals backing array for reuse.
@@ -202,6 +223,14 @@ type sendBuf struct {
 
 func (sb *sendBuf) reset() {
 	sb.batches = sb.batches[:0]
+}
+
+// trim trims every batch slot, including those recycled slots beyond len.
+func (sb *sendBuf) trim() {
+	all := sb.batches[:cap(sb.batches)]
+	for i := range all {
+		all[i].trim()
+	}
 }
 
 // open returns the batch to append to for (kind, arity): the last one when
@@ -224,6 +253,7 @@ func (sb *sendBuf) openNew(kind, arity int) *outBatch {
 		sb.batches = sb.batches[:n+1]
 		b := &sb.batches[n]
 		b.kind, b.arity = kind, arity
+		b.used = max(b.used, len(b.vals))
 		b.vals = b.vals[:0]
 		return b
 	}
@@ -256,6 +286,61 @@ type Emitter struct {
 	flushes     int        // chunks flushed (pipelined) or closed (staged) this round
 	resident    int        // pipelined: values currently buffered
 	residentHW  int        // pipelined: high-water of resident this round
+}
+
+// routeScratch is EmitRouted's working memory: per-destination tuple
+// counts, reused as write cursors (all zero between calls), each
+// destination's presized batch, and the destinations of one call. It is
+// O(p), so it lives in a pool shared by all emitters — one per concurrently
+// routing server, not one per emitter, which would be O(p²).
+type routeScratch struct {
+	count []int
+	dst   [][]int64
+	hit   []int
+}
+
+var routeScratchPool = sync.Pool{New: func() any { return &routeScratch{} }}
+
+// emitterPool recycles emitters — and with them their per-destination send
+// buffers — across clusters, as inboxPool does for inbox arenas, so a
+// stream of runs stops growing fresh send buffers every Round. Emitters
+// enter the pool only through Cluster.Release, trimmed and reset. An
+// emitter holds O(p) per-destination state, so clusters of more than
+// maxPooledServers servers are not pooled: their p² footprint would
+// outlive the run.
+var emitterPool = sync.Pool{New: func() any { return &Emitter{} }}
+
+const maxPooledServers = 1024
+
+// recycle trims and resets a released emitter for the pool.
+func (e *Emitter) recycle() {
+	for d := range e.perDest {
+		e.perDest[d].trim()
+	}
+	e.bcast.trim()
+	for d := range e.pchunks {
+		e.pchunks[d].trim()
+	}
+	e.pbcast.trim()
+	e.reset()
+	e.c = nil
+}
+
+// bind attaches a pooled emitter to server self of c, keeping its
+// per-destination buffers when they already span c's servers (every entry
+// of a released emitter is reset, so a reslice exposes no stale batches).
+func (e *Emitter) bind(c *Cluster, self int) {
+	e.c, e.self = c, self
+	if cap(e.perDest) >= c.p {
+		e.perDest = e.perDest[:c.p]
+	} else {
+		e.perDest = nil
+	}
+	if cap(e.pchunks) >= c.p {
+		e.pchunks, e.ptracked = e.pchunks[:c.p], e.ptracked[:c.p]
+	} else {
+		e.pchunks, e.ptracked = nil, nil
+	}
 }
 
 func (e *Emitter) reset() {
@@ -323,11 +408,96 @@ func (e *Emitter) EmitTuple(dest, kind int, tuple []int64) {
 		panic("engine: cannot emit an empty tuple")
 	}
 	if e.pipelined {
-		e.emitStream(dest, kind, len(tuple), tuple)
+		e.emitStreamTuple(dest, kind, tuple)
 		return
 	}
 	b := e.open(dest, kind, len(tuple))
 	b.vals = append(b.vals, tuple...)
+}
+
+// EmitRouted sends tuple i of the flat same-kind block vals to server
+// bases[i]+off for every off in offsets, in that order, skipping tuples
+// whose base is negative. The result is exactly that of calling EmitTuple
+// once per (tuple, destination) in the same order: every destination
+// receives its tuples in block order. Barrier rounds move the values by a
+// stable counting scatter — one pass counts each destination's tuples, the
+// destination's open batch grows once to exactly fit them, and one pass
+// copies every tuple into place. Streaming rounds emit tuple by tuple,
+// which keeps the chunk boundaries and the buffered-memory high-water of
+// per-tuple emission by construction.
+func (e *Emitter) EmitRouted(kind, arity int, vals []int64, bases, offsets []int) {
+	if arity < 1 {
+		panic("engine: batch arity must be positive")
+	}
+	if len(vals) != len(bases)*arity {
+		panic(fmt.Sprintf("engine: routed block of %d values does not hold %d tuples of arity %d", len(vals), len(bases), arity))
+	}
+	if e.chunkTuples > 0 {
+		for i, base := range bases {
+			if base < 0 {
+				continue
+			}
+			t := vals[i*arity : (i+1)*arity : (i+1)*arity]
+			for _, off := range offsets {
+				e.EmitTuple(base+off, kind, t)
+			}
+		}
+		return
+	}
+	p := e.c.p
+	// A panic below drops rs rather than pooling half-counted scratch.
+	rs := routeScratchPool.Get().(*routeScratch)
+	if len(rs.count) < p {
+		rs.count = make([]int, p)
+		rs.dst = make([][]int64, p)
+	}
+	count, dst := rs.count, rs.dst
+	// Counting pass, in emission order: hit lists the destinations in
+	// first-touch order, where per-tuple emission registers them.
+	hit := rs.hit[:0]
+	for _, base := range bases {
+		if base < 0 {
+			continue
+		}
+		for _, off := range offsets {
+			d := base + off
+			if uint(d) >= uint(p) {
+				panic(fmt.Sprintf("engine: destination %d out of range [0,%d)", d, p))
+			}
+			if count[d] == 0 {
+				hit = append(hit, d)
+			}
+			count[d]++
+		}
+	}
+	for _, d := range hit {
+		b := e.buf(d).open(kind, arity)
+		n, add := len(b.vals), count[d]*arity
+		b.vals = slices.Grow(b.vals, add)[:n+add]
+		dst[d], count[d] = b.vals, n // count becomes the write cursor
+	}
+	// Scatter pass: every tuple into place. Cursors are plain ints, so the
+	// per-tuple bookkeeping stores no pointers (no GC write barriers).
+	for i, base := range bases {
+		if base < 0 {
+			continue
+		}
+		t := vals[i*arity : (i+1)*arity]
+		for _, off := range offsets {
+			d := base + off
+			at := count[d]
+			w := dst[d][at : at+arity]
+			for k, v := range t { // a loop beats a memmove call for short tuples
+				w[k] = v
+			}
+			count[d] = at + arity
+		}
+	}
+	for _, d := range hit {
+		count[d], dst[d] = 0, nil // pooled scratch keeps no reference to this emitter's batches
+	}
+	rs.hit = hit
+	routeScratchPool.Put(rs)
 }
 
 // EmitBatch sends a whole flat block of same-kind tuples (len(vals) must be
@@ -439,17 +609,18 @@ func NewCluster(p, bitsPerValue int) *Cluster {
 	for s := 0; s < p; s++ {
 		c.inbox[s] = inboxPool.Get().(*Inbox)
 		c.spare[s] = inboxPool.Get().(*Inbox)
-		c.emitters[s] = &Emitter{c: c, self: s}
+		c.emitters[s] = emitterPool.Get().(*Emitter)
+		c.emitters[s].bind(c, s)
 	}
 	obsClustersTotal.Inc()
 	return c
 }
 
-// Release returns the cluster's inbox arenas to the shared pool for reuse by
-// later clusters, and closes the cluster's transport link, if any. It must
-// be the last use of the cluster: every Inbox, Batch, or tuple view
-// previously obtained from it is invalidated (round statistics, being plain
-// values, stay valid). Release is idempotent.
+// Release returns the cluster's inbox arenas and emitters to the shared
+// pools for reuse by later clusters, and closes the cluster's transport
+// link, if any. It must be the last use of the cluster: every Inbox, Batch,
+// or tuple view previously obtained from it is invalidated (round
+// statistics, being plain values, stay valid). Release is idempotent.
 func (c *Cluster) Release() {
 	if c.link != nil {
 		_ = c.link.Close()
@@ -466,6 +637,11 @@ func (c *Cluster) Release() {
 			inboxPool.Put(c.spare[s])
 			c.spare[s] = nil
 		}
+		if e := c.emitters[s]; e != nil && c.p <= maxPooledServers {
+			e.recycle()
+			emitterPool.Put(e)
+		}
+		c.emitters[s] = nil
 	}
 }
 

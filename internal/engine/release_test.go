@@ -72,3 +72,24 @@ func TestReleaseKeepsStats(t *testing.T) {
 		t.Fatalf("stats changed across Release: load %v total %v rounds %v", c.MaxLoadBits(), c.TotalBits(), c.NumRounds())
 	}
 }
+
+// TestTrimDropsOversizedBuffers pins the pool's retention rule: a slot
+// keeps its buffer unless it is more than trimFactor times larger than the
+// most it held, and the high-water restarts for the next cluster.
+func TestTrimDropsOversizedBuffers(t *testing.T) {
+	big := outBatch{vals: make([]int64, 10, 10000), used: 100}
+	big.trim()
+	if big.vals != nil || big.used != 0 {
+		t.Errorf("oversized buffer kept: cap %d used %d", cap(big.vals), big.used)
+	}
+	fit := outBatch{vals: make([]int64, 0, 800), used: 100}
+	fit.trim()
+	if cap(fit.vals) != 800 || fit.used != 0 {
+		t.Errorf("buffer within %d× of its use dropped: cap %d used %d", trimFactor, cap(fit.vals), fit.used)
+	}
+	small := outBatch{vals: make([]int64, 0, 200)}
+	small.trim()
+	if cap(small.vals) != 200 {
+		t.Errorf("small buffer dropped: cap %d", cap(small.vals))
+	}
+}

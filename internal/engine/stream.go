@@ -167,6 +167,15 @@ func (ib *Inbox) finalizeStream(bitsPerValue int) (bits float64, tuples int) {
 // chunkBuf returns the emitter's pending pipelined chunk for dest,
 // tracking first touches so reset stays O(touched).
 func (e *Emitter) chunkBuf(dest int) *outBatch {
+	if uint(dest) < uint(len(e.ptracked)) && e.ptracked[dest] {
+		return &e.pchunks[dest]
+	}
+	return e.touchChunk(dest)
+}
+
+// touchChunk is chunkBuf's slow path: broadcasts, range checks and first
+// touches.
+func (e *Emitter) touchChunk(dest int) *outBatch {
 	if dest == Broadcast {
 		return &e.pbcast
 	}
@@ -214,6 +223,28 @@ func (e *Emitter) emitStream(dest, kind, arity int, vals []int64) {
 	}
 }
 
+// emitStreamTuple is emitStream for a single tuple, the per-tuple routing
+// path: a chunk holds whole tuples, so one tuple never straddles a flush.
+func (e *Emitter) emitStreamTuple(dest, kind int, t []int64) {
+	b := e.chunkBuf(dest)
+	if len(b.vals) > 0 && (b.kind != kind || b.arity != len(t)) {
+		e.flushChunk(dest, b)
+	}
+	b.kind, b.arity = kind, len(t)
+	if n := len(b.vals); cap(b.vals)-n >= len(t) {
+		b.vals = b.vals[:n+len(t)]
+		for k, v := range t { // a loop beats a memmove call for short tuples
+			b.vals[n+k] = v
+		}
+	} else {
+		b.vals = append(b.vals, t...)
+	}
+	e.noteResident(len(t))
+	if len(b.vals) == e.chunkTuples*len(t) {
+		e.flushChunk(dest, b)
+	}
+}
+
 // noteResident tracks the emitter's buffered-value high-water for the
 // cluster's memory gauge.
 func (e *Emitter) noteResident(n int) {
@@ -247,6 +278,7 @@ func (e *Emitter) flushChunk(dest int, b *outBatch) {
 	}
 	e.flushes++
 	e.resident -= n
+	b.used = max(b.used, n)
 	b.vals = b.vals[:0]
 }
 

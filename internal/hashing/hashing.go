@@ -2,6 +2,10 @@
 // hypercube coordinate grid used by the HyperCube algorithm (Section 3.1):
 // servers are points of [p1]×…×[pk], and a tuple t of relation Sj is routed
 // to the destination subcube D(t) = {y | ∀m: h_{i_m}(t[i_m]) = y_{i_m}}.
+// Grid.Compile turns an atom's columns into a Route once per plan: D(t) is
+// then a base server, summed from the tuple's bins and the grid strides,
+// plus a precomputed table of free-dimension offsets, so routing a tuple
+// allocates nothing.
 //
 // The paper assumes perfectly random (strongly universal) hash functions;
 // we substitute a SplitMix64 finalizer keyed per (seed, dimension), whose
@@ -122,67 +126,113 @@ func (g *Grid) CoordsOf(server int, out []int) []int {
 	return out
 }
 
-// Destinations calls yield for every server in the destination subcube
-// determined by fixing dimensions dims[i] to coordinates bins[i] and
-// ranging over all other dimensions — the set D(t) of equation (9).
-func (g *Grid) Destinations(dims, bins []int, yield func(server int)) {
-	base := 0
+// Route is one atom's destination rule on a grid, compiled once per plan by
+// Compile: the per-column share, stride and repeated-variable link, plus the
+// free-dimension subcube as a table of server offsets. A tuple's
+// destination subcube D(t) of equation (9) is then base + off for every off
+// in Offsets, where base is the sum of bin × stride over its fixed columns —
+// no per-tuple allocation, no per-destination call.
+type Route struct {
+	// Offsets lists the subcube relative to the base server, in odometer
+	// order over the free dimensions of share > 1: the lowest free
+	// dimension varies fastest. Always non-empty ({0} when no dimension is
+	// free); len(Offsets) is the tuple's replication factor.
+	Offsets []int
+
+	arity int
+	cols  []routeCol
+}
+
+// routeCol is one hashed column of a compiled route. Columns on share-1
+// dimensions are dropped at compile time: their bin is always 0.
+type routeCol struct {
+	col    int // tuple column
+	dim    int // grid (and hash) dimension
+	share  int
+	stride int
+	same   int // index in cols of an earlier column on the same dimension, or -1
+}
+
+// Compile builds the route of an atom whose column c lies on grid
+// dimension dims[c]. A dimension may appear twice (a repeated variable);
+// tuples whose bins disagree on it then route nowhere.
+func (g *Grid) Compile(dims []int) *Route {
+	r := &Route{arity: len(dims)}
 	fixed := make([]bool, len(g.Shares))
-	for i, d := range dims {
-		// A dimension may be fixed twice (repeated variable in an atom);
-		// if the two bins disagree the subcube is empty.
-		if fixed[d] {
-			prev := 0 // recover previously set coordinate
-			prev = (base / g.strides[d]) % g.Shares[d]
-			if prev != bins[i] {
-				return
+	for c, d := range dims {
+		fixed[d] = true
+		if g.Shares[d] == 1 {
+			continue
+		}
+		same := -1
+		for i, rc := range r.cols {
+			if rc.dim == d {
+				same = i
+				break
+			}
+		}
+		r.cols = append(r.cols, routeCol{col: c, dim: d, share: g.Shares[d], stride: g.strides[d], same: same})
+	}
+	r.Offsets = []int{0}
+	for d, f := range fixed {
+		if f {
+			continue
+		}
+		// Dimension d varies slower than every earlier free dimension: the
+		// existing table repeats once per further coordinate of d (none for
+		// share 1).
+		n := len(r.Offsets)
+		for k := 1; k < g.Shares[d]; k++ {
+			for _, off := range r.Offsets[:n] {
+				r.Offsets = append(r.Offsets, off+k*g.strides[d])
+			}
+		}
+	}
+	return r
+}
+
+// BaseOfBins returns the base server of the subcube fixing compiled column
+// c to coordinate bins[c] (bins has one entry per column of dims, as passed
+// to Compile), or -1 when two columns on the same dimension disagree.
+func (r *Route) BaseOfBins(bins []int) int {
+	base := 0
+	for _, rc := range r.cols {
+		b := bins[rc.col]
+		if rc.same >= 0 {
+			if bins[r.cols[rc.same].col] != b {
+				return -1
 			}
 			continue
 		}
-		fixed[d] = true
-		base += bins[i] * g.strides[d]
+		base += b * rc.stride
 	}
-	var free []int
-	for i, f := range fixed {
-		if !f && g.Shares[i] > 1 {
-			free = append(free, i)
-		}
-	}
-	// Odometer over the free dimensions.
-	counters := make([]int, len(free))
-	for {
-		s := base
-		for i, d := range free {
-			s += counters[i] * g.strides[d]
-		}
-		yield(s)
-		i := 0
-		for ; i < len(free); i++ {
-			counters[i]++
-			if counters[i] < g.Shares[free[i]] {
-				break
-			}
-			counters[i] = 0
-		}
-		if i == len(free) {
-			return
-		}
-	}
+	return base
 }
 
-// SubcubeSize returns |D(t)| for a tuple fixing the given dimensions: the
-// product of the shares of all unfixed dimensions (the replication factor
-// of the routed tuple).
-func (g *Grid) SubcubeSize(dims []int) int {
-	fixed := make([]bool, len(g.Shares))
-	for _, d := range dims {
-		fixed[d] = true
-	}
-	size := 1
-	for i, f := range fixed {
-		if !f {
-			size *= g.Shares[i]
+// Base returns the base server of tuple's subcube, hashing column c on
+// dimension dims[c] with f, or -1 when the tuple routes nowhere (its
+// repeated-variable bins disagree).
+func (r *Route) Base(f *Family, tuple []int64) int {
+	base := 0
+	for _, rc := range r.cols {
+		b := f.Bin(rc.dim, tuple[rc.col], rc.share)
+		if rc.same >= 0 {
+			if f.Bin(rc.dim, tuple[r.cols[rc.same].col], rc.share) != b {
+				return -1
+			}
+			continue
 		}
+		base += b * rc.stride
 	}
-	return size
+	return base
+}
+
+// Bases appends to out the Base of every tuple of the flat row-major block
+// vals (arity len(dims), as passed to Compile) and returns the extended
+// slice — the whole-batch form the HyperCube shuffle routes with.
+func (r *Route) Bases(f *Family, vals []int64, out []int) []int {
+	for off := 0; off < len(vals); off += r.arity {
+		out = append(out, r.Base(f, vals[off:off+r.arity]))
+	}
+	return out
 }

@@ -80,48 +80,70 @@ func TestGridRoundTrip(t *testing.T) {
 	}
 }
 
+// destinations lists the subcube of a tuple under r, in routing order.
+func destinations(r *Route, f *Family, tuple []int64) []int {
+	base := r.Base(f, tuple)
+	if base < 0 {
+		return nil
+	}
+	out := make([]int, len(r.Offsets))
+	for i, off := range r.Offsets {
+		out[i] = base + off
+	}
+	return out
+}
+
 func TestDestinationsSubcube(t *testing.T) {
 	g := NewGrid([]int{4, 4, 4})
-	// Fix dimension 0 to 2 and dimension 1 to 3: 4 destinations (free dim 2).
-	var got []int
-	g.Destinations([]int{0, 1}, []int{2, 3}, func(s int) { got = append(got, s) })
-	if len(got) != 4 {
-		t.Fatalf("destinations=%d want 4", len(got))
+	f := NewFamily(3, 3)
+	// Fix dimensions 0 and 1 by hashing: 4 destinations (free dim 2).
+	tuple := []int64{17, 99}
+	r := g.Compile([]int{0, 1})
+	got := destinations(r, f, tuple)
+	if len(got) != 4 || len(r.Offsets) != 4 {
+		t.Fatalf("destinations=%d (offsets %d) want 4", len(got), len(r.Offsets))
 	}
 	coords := make([]int, 3)
 	for _, s := range got {
 		g.CoordsOf(s, coords)
-		if coords[0] != 2 || coords[1] != 3 {
+		if coords[0] != f.Bin(0, 17, 4) || coords[1] != f.Bin(1, 99, 4) {
 			t.Errorf("server %d coords %v: fixed dims wrong", s, coords)
 		}
 	}
-	if g.SubcubeSize([]int{0, 1}) != 4 {
-		t.Errorf("SubcubeSize=%d want 4", g.SubcubeSize([]int{0, 1}))
+	if base := r.BaseOfBins([]int{2, 3}); base != g.ServerOf([]int{2, 3, 0}) {
+		t.Errorf("BaseOfBins = %d want %d", base, g.ServerOf([]int{2, 3, 0}))
 	}
 }
 
 func TestDestinationsAllFree(t *testing.T) {
 	g := NewGrid([]int{2, 3})
-	count := 0
-	g.Destinations(nil, nil, func(s int) { count++ })
-	if count != 6 {
-		t.Errorf("broadcast subcube size=%d want 6", count)
+	r := g.Compile(nil)
+	if got := destinations(r, NewFamily(1, 2), nil); len(got) != 6 {
+		t.Errorf("broadcast subcube size=%d want 6", len(got))
+	}
+	// Odometer order: dimension 0 varies fastest.
+	want := []int{0, 3, 1, 4, 2, 5}
+	for i, off := range r.Offsets {
+		if off != want[i] {
+			t.Fatalf("Offsets = %v want %v", r.Offsets, want)
+		}
 	}
 }
 
 func TestDestinationsRepeatedDim(t *testing.T) {
 	g := NewGrid([]int{4, 4})
+	r := g.Compile([]int{0, 0})
 	// Same dimension fixed twice with equal bins: one free dim remains.
-	count := 0
-	g.Destinations([]int{0, 0}, []int{1, 1}, func(s int) { count++ })
-	if count != 4 {
-		t.Errorf("consistent repeat: %d want 4", count)
+	if base := r.BaseOfBins([]int{1, 1}); base != g.ServerOf([]int{1, 0}) || len(r.Offsets) != 4 {
+		t.Errorf("consistent repeat: base %d, %d offsets; want %d, 4", base, len(r.Offsets), g.ServerOf([]int{1, 0}))
 	}
 	// Conflicting bins: empty subcube.
-	count = 0
-	g.Destinations([]int{0, 0}, []int{1, 2}, func(s int) { count++ })
-	if count != 0 {
-		t.Errorf("conflicting repeat: %d want 0", count)
+	if base := r.BaseOfBins([]int{1, 2}); base != -1 {
+		t.Errorf("conflicting repeat: base %d want -1", base)
+	}
+	f := NewFamily(8, 2)
+	if got := destinations(r, f, []int64{5, 5}); len(got) != 4 {
+		t.Errorf("equal values on a repeated dim: %d destinations want 4", len(got))
 	}
 }
 
@@ -131,9 +153,12 @@ func TestDestinationsCoverGrid(t *testing.T) {
 	// coordinate. Sanity-check totals.
 	g := NewGrid([]int{3, 2})
 	f := NewFamily(5, 2)
+	r := g.Compile([]int{0})
 	counts := make([]int, g.P())
 	for v := int64(0); v < 300; v++ {
-		g.Destinations([]int{0}, []int{f.Bin(0, v, 3)}, func(s int) { counts[s]++ })
+		for _, s := range destinations(r, f, []int64{v}) {
+			counts[s]++
+		}
 	}
 	total := 0
 	for _, c := range counts {

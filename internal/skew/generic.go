@@ -182,6 +182,7 @@ func PrepareGeneric(q *query.Query, db *data.Database, p int, maxHeavyPerVar int
 		routes[j] = make(map[string][]*genPattern)
 		var buf []byte
 		for _, pat := range patterns {
+			pat.routes = append(pat.routes, pat.grid.Compile(dims))
 			buf = appendSignature(buf[:0], dims, func(c, d int) (int64, bool) {
 				hv, pinned := pat.assign[d]
 				return hv, pinned
@@ -232,24 +233,20 @@ func RunGenericPlannedNet(gp *GenericPlan, q *query.Query, db *data.Database, p 
 	family := hashing.NewFamily(seed, k)
 
 	cluster.Round("skew-generic", func(s int, inbox *engine.Inbox, emit *engine.Emitter) {
-		bins := make([]int, 8)
 		var sig []byte
 		inbox.Each(func(j int, tuple []int64) {
-			dims := atomDims[j]
-			if cap(bins) < len(dims) {
-				bins = make([]int, len(dims))
-			}
-			sig = appendSignature(sig[:0], dims, func(c, d int) (int64, bool) {
+			sig = appendSignature(sig[:0], atomDims[j], func(c, d int) (int64, bool) {
 				return tuple[c], heavy[d][tuple[c]]
 			})
 			for _, pat := range routes[j][string(sig)] {
-				bins = bins[:len(dims)]
-				for c, d := range dims {
-					bins[c] = family.Bin(d, tuple[c], pat.grid.Shares[d])
+				rt := pat.routes[j]
+				base := rt.Base(family, tuple)
+				if base < 0 {
+					continue
 				}
-				pat.grid.Destinations(dims, bins, func(dest int) {
-					emit.EmitTuple(pat.offset+dest, j, tuple)
-				})
+				for _, off := range rt.Offsets {
+					emit.EmitTuple(pat.offset+base+off, j, tuple)
+				}
 			}
 		})
 	})
@@ -291,6 +288,7 @@ func RunGenericPlannedNet(gp *GenericPlan, q *query.Query, db *data.Database, p 
 type genPattern struct {
 	assign map[int]int64
 	grid   *hashing.Grid
+	routes []*hashing.Route // per atom, compiled with the pattern's layout
 	offset int
 }
 

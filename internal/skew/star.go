@@ -171,7 +171,11 @@ func PrepareStarWithFrequencies(q *query.Query, db *data.Database, p int, freqs 
 		}
 		shares := residualShares(stats, ph)
 		grid := hashing.NewGrid(shares)
-		blocks[h] = &block{offset: offset, grid: grid}
+		routes := make([]*hashing.Route, k)
+		for j := range routes {
+			routes[j] = grid.Compile([]int{j})
+		}
+		blocks[h] = &block{offset: offset, grid: grid, routes: routes}
 		offset += grid.P()
 	}
 	return &StarPlan{zCols: zCols, heavy: heavy, blocks: blocks, totalServers: offset}
@@ -209,17 +213,17 @@ func RunStarPlannedNet(sp *StarPlan, q *query.Query, db *data.Database, p int, s
 	family := hashing.NewFamily(seed, k+1) // dim k hashes z for the light part
 
 	cluster.Round("skew-star", func(s int, inbox *engine.Inbox, emit *engine.Emitter) {
-		subDims, subBins := []int{0}, []int{0}
 		inbox.Each(func(j int, tuple []int64) {
 			z := tuple[zCols[j]]
 			if b, isHeavy := blocks[z]; isHeavy {
 				// Heavy: route within h's block, fixing dimension j to the
 				// hash of the x_j value; all other dimensions free.
-				xj := tuple[1-zCols[j]] // binary atoms: the non-z column
-				subDims[0], subBins[0] = j, family.Bin(j, xj, b.grid.Shares[j])
-				b.grid.Destinations(subDims, subBins, func(sub int) {
-					emit.EmitTuple(b.offset+sub, j, tuple)
-				})
+				xc := 1 - zCols[j] // binary atoms: the non-z column
+				rt := b.routes[j]
+				base := b.offset + rt.Base(family, tuple[xc:xc+1])
+				for _, off := range rt.Offsets {
+					emit.EmitTuple(base+off, j, tuple)
+				}
 			} else {
 				// Light: hash-partition on z across the light servers.
 				emit.EmitTuple(family.Bin(k, z, p), j, tuple)
@@ -291,6 +295,7 @@ func evaluatePhase(cluster *engine.Cluster, q *query.Query, servers int,
 type block struct {
 	offset int
 	grid   *hashing.Grid
+	routes []*hashing.Route // per atom j: dimension j fixed by the x_j hash
 }
 
 // residualShares computes integer shares for the residual Cartesian product

@@ -181,11 +181,11 @@ func RunTrianglePlannedNet(tp *TrianglePlan, q *query.Query, db *data.Database, 
 
 			// Light: both values cube-light -> vanilla HC.
 			if isCubeLight(i0, v0) && isCubeLight(i1, v1) {
-				b0 := family.Bin(i0, v0, layout.light.Shares[i0])
-				b1 := family.Bin(i1, v1, layout.light.Shares[i1])
-				layout.light.Destinations([]int{i0, i1}, []int{b0, b1}, func(d int) {
-					emit.EmitTuple(layout.lightOffset+d, j, tuple)
-				})
+				rt := layout.lightRoutes[j]
+				base := layout.lightOffset + rt.Base(family, tuple)
+				for _, off := range rt.Offsets {
+					emit.EmitTuple(base+off, j, tuple)
+				}
 			}
 
 			// Case 1 groups.
@@ -241,6 +241,7 @@ type triLayout struct {
 	totalServers int
 	lightOffset  int
 	light        *hashing.Grid
+	lightRoutes  [3]*hashing.Route // per atom, on the atom's two variables
 	case1        []*case1Group
 	pivots       [3]*pivotBlocks
 }
@@ -293,8 +294,9 @@ type pivotBlocks struct {
 
 type pivotBlock struct {
 	offset int
-	grid   *hashing.Grid // 2-dimensional: (first non-pivot var, second non-pivot var)
-	dims   [2]int        // variable indices of grid dimensions 0 and 1
+	grid   *hashing.Grid     // 2-dimensional: (first non-pivot var, second non-pivot var)
+	dims   [2]int            // variable indices of grid dimensions 0 and 1
+	routes [2]*hashing.Route // per grid dimension fixed by a pivot-adjacent tuple
 }
 
 func (pb *pivotBlocks) route(q *query.Query, j int, tuple []int64, pivot, i0, i1 int,
@@ -316,10 +318,11 @@ func (pb *pivotBlocks) route(q *query.Query, j int, tuple []int64, pivot, i0, i1
 		if b.dims[1] == ovar {
 			dim = 1
 		}
-		bin := family.Bin(ovar, ov, b.grid.Shares[dim])
-		b.grid.Destinations([]int{dim}, []int{bin}, func(d int) {
-			emit.EmitTuple(b.offset+d, j, tuple)
-		})
+		rt := b.routes[dim]
+		base := b.offset + rt.BaseOfBins([]int{family.Bin(ovar, ov, b.grid.Shares[dim])})
+		for _, off := range rt.Offsets {
+			emit.EmitTuple(base+off, j, tuple)
+		}
 	default:
 		// The opposite relation (no pivot variable): both values must be
 		// p-light; replicate to every pivot block at the fixed grid point.
@@ -350,6 +353,9 @@ func newTriLayout(q *query.Query, p int, freq []map[int64]int, cubeHeavy []map[i
 	// Light grid: shares p^{1/3} per variable.
 	e := []float64{1.0 / 3, 1.0 / 3, 1.0 / 3}
 	lay.light = hashing.NewGrid(integerShares3(e, p))
+	for j, a := range q.Atoms {
+		lay.lightRoutes[j] = lay.light.Compile([]int{q.VarIndex(a.Vars[0]), q.VarIndex(a.Vars[1])})
+	}
 	lay.lightOffset = offset
 	offset += lay.light.P()
 
@@ -420,7 +426,8 @@ func newTriLayout(q *query.Query, p int, freq []map[int64]int, cubeHeavy []map[i
 			sh := packing.ShareExponents(resQ, []float64{fiber, midBits, fiber}, math.Max(2, float64(ph)))
 			ab := integerShares2(sh.Exponents, ph) // exponents for (a, b)
 			grid := hashing.NewGrid(ab)
-			pb.blocks[h] = &pivotBlock{offset: offset, grid: grid, dims: nonPivot}
+			pb.blocks[h] = &pivotBlock{offset: offset, grid: grid, dims: nonPivot,
+				routes: [2]*hashing.Route{grid.Compile([]int{0}), grid.Compile([]int{1})}}
 			offset += grid.P()
 		}
 		lay.pivots[pivot] = pb

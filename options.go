@@ -129,7 +129,8 @@ func WithStreaming(on bool) RunOption { return func(c *runConfig) { c.streaming 
 
 // WithStreamChunk sets the streaming chunk size in tuples (default:
 // engine.DefaultStreamChunk). Smaller chunks bound memory tighter and flush
-// more often; the result is identical for every positive size. Ignored
+// more often; the result is identical for every positive size, and 0
+// selects the default. Run rejects a negative size. Otherwise ignored
 // without WithStreaming / WithOutputSink.
 func WithStreamChunk(tuples int) RunOption { return func(c *runConfig) { c.streamChunk = tuples } }
 

@@ -84,6 +84,9 @@ func Run(q *Query, db *Database, opts ...RunOption) (rep *Report, err error) {
 	if cfg.servers < 1 {
 		return nil, fmt.Errorf("mpcquery: need at least one server, got %d", cfg.servers)
 	}
+	if cfg.streamChunk < 0 {
+		return nil, fmt.Errorf("mpcquery: stream chunk must be non-negative, got %d", cfg.streamChunk)
+	}
 	if q.NumAtoms() == 0 {
 		return nil, fmt.Errorf("mpcquery: query %q has no atoms", q.Name)
 	}

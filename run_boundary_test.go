@@ -129,3 +129,26 @@ func TestRunRecoverBoundary(t *testing.T) {
 		})
 	}
 }
+
+// TestRunRejectsInvalidConfig checks that malformed run options fail at the
+// Run boundary with an error, before any strategy executes.
+func TestRunRejectsInvalidConfig(t *testing.T) {
+	q := Triangle()
+	db := MatchingDatabase(rand.New(rand.NewSource(2)), q, 50, 1<<10)
+	cases := []struct {
+		name string
+		opts []RunOption
+	}{
+		{"zero servers", []RunOption{WithServers(0)}},
+		{"negative stream chunk", []RunOption{WithStreaming(true), WithStreamChunk(-5)}},
+		{"negative stream chunk without streaming", []RunOption{WithStreamChunk(-1)}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rep, err := Run(q, db, tc.opts...)
+			if err == nil || rep != nil {
+				t.Fatalf("Run = (%v, %v), want an error and no report", rep, err)
+			}
+		})
+	}
+}
