@@ -21,6 +21,7 @@ import (
 
 	"mpcquery"
 	"mpcquery/internal/core"
+	"mpcquery/internal/multiround"
 	"mpcquery/internal/packing"
 )
 
@@ -90,7 +91,7 @@ func main() {
 	fmt.Printf("\nskew-oblivious (LP 18): predicted load %.4g bits\n", obl.PredictedLoadBits())
 
 	if q.IsConnected() {
-		mr := mpcquery.PlanGreedy(q, *eps)
+		mr := multiround.GreedyPlan(q, *eps)
 		fmt.Printf("\nmulti-round plan at ε=%.2f (%d rounds; Lemma 5.4 bound %d):\n%s",
 			*eps, mr.Rounds(), mpcquery.RoundsUB(q, *eps), mr.Root)
 

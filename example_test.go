@@ -7,17 +7,21 @@ import (
 	"mpcquery"
 )
 
-// ExampleRunHyperCube computes the triangle query on 64 simulated servers
+// ExampleHyperCube computes the triangle query on 64 simulated servers
 // and verifies the result against a sequential join.
-func ExampleRunHyperCube() {
+func ExampleHyperCube() {
 	q := mpcquery.Triangle()
 	rng := rand.New(rand.NewSource(1))
 	db := mpcquery.MatchingDatabase(rng, q, 1000, 1<<20)
 
-	res := mpcquery.RunHyperCube(q, db, 64, 42)
+	rep, err := mpcquery.Run(q, db, mpcquery.WithStrategy(mpcquery.HyperCube()),
+		mpcquery.WithServers(64), mpcquery.WithSeed(42))
+	if err != nil {
+		panic(err)
+	}
 	want := mpcquery.SequentialAnswer(q, db)
-	fmt.Println("servers:", res.ServersUsed)
-	fmt.Println("matches sequential:", res.Output.NumTuples() == want.NumTuples())
+	fmt.Println("servers:", rep.ServersUsed)
+	fmt.Println("matches sequential:", rep.Output.NumTuples() == want.NumTuples())
 	// Output:
 	// servers: 64
 	// matches sequential: true
@@ -38,11 +42,17 @@ func ExampleTauStar() {
 	// T7: τ* = 1
 }
 
-// ExamplePlanChain shows the Example 5.2 plan: L16 in two rounds of
+// ExampleChainPlan runs the Example 5.2 plan: L16 in two rounds of
 // four-way joins at space exponent 1/2.
-func ExamplePlanChain() {
-	plan := mpcquery.PlanChain(16, 0.5)
-	fmt.Println("rounds:", plan.Rounds())
+func ExampleChainPlan() {
+	rng := rand.New(rand.NewSource(2))
+	db := mpcquery.ChainMatchingDatabase(rng, 16, 200, 1<<20)
+	rep, err := mpcquery.Run(mpcquery.Chain(16), db,
+		mpcquery.WithStrategy(mpcquery.ChainPlan(0.5)), mpcquery.WithServers(16))
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println("rounds:", rep.Rounds)
 	fmt.Println("formula:", mpcquery.ChainRounds(16, 0.5))
 	// Output:
 	// rounds: 2

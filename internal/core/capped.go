@@ -68,7 +68,7 @@ func RunPlanCapped(pl *Plan, db *data.Database, seed int64, capBits float64) *Ca
 		droppedTotal += dropped[s]
 	}
 
-	full := RunPlan(pl, db, seed)
+	full := RunPlan(pl, db, seed, nil, engine.Env{})
 	fraction := 1.0
 	if full.Output.NumTuples() > 0 {
 		fraction = float64(answers) / float64(full.Output.NumTuples())

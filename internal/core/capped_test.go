@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mpcquery/internal/data"
+	"mpcquery/internal/engine"
 	"mpcquery/internal/query"
 )
 
@@ -70,7 +71,7 @@ func TestCappedAtLowerBoundFindsMost(t *testing.T) {
 	q := query.Triangle()
 	db := denseTriangleDB(rng, 3000, 256)
 	pl := PlanForDatabase(q, db, 64, SkewFree)
-	full := RunPlan(pl, db, 3)
+	full := RunPlan(pl, db, 3, nil, engine.Env{})
 	res := RunPlanCapped(pl, db, 3, 2*full.MaxLoadBits)
 	if res.Fraction < 0.999 {
 		t.Errorf("cap at 2×actual load should lose nothing: fraction=%v", res.Fraction)
@@ -82,7 +83,7 @@ func TestInputServerModelEquivalence(t *testing.T) {
 	q := query.Triangle()
 	db := data.MatchingDatabase(rng, q, 2000, 1<<20)
 	pl := PlanForDatabase(q, db, 64, SkewFree)
-	a := RunPlan(pl, db, 9)
+	a := RunPlan(pl, db, 9, nil, engine.Env{})
 	b := RunPlanInputServers(pl, db, 9)
 	if a.MaxLoadBits != b.MaxLoadBits {
 		t.Errorf("loads differ: partitioned %v vs input-server %v", a.MaxLoadBits, b.MaxLoadBits)

@@ -174,7 +174,7 @@ type Result struct {
 	TotalBits       float64
 	InputBits       float64
 	ReplicationRate float64
-	Aborted         bool // a declared load cap was exceeded (RunPlanWithCap)
+	Aborted         bool // the declared load cap (engine.Env.LoadCapBits) was exceeded
 
 	// AggregateBitsSaved is the communication the pre-shuffle partial
 	// aggregation removed: (raw join rows − shipped partial rows) × row bits,
@@ -187,31 +187,10 @@ type Result struct {
 	CommSeconds    float64
 }
 
-// Run plans and executes the HyperCube algorithm for q on db with p servers.
-func Run(q *query.Query, db *data.Database, p int, seed int64, mode Mode) *Result {
-	return RunPlan(PlanForDatabase(q, db, p, mode), db, seed)
-}
-
-// RunWithShares executes with explicit integer shares (one per variable).
-func RunWithShares(q *query.Query, db *data.Database, shares []int, seed int64) *Result {
-	return RunWithSharesCap(q, db, shares, seed, 0)
-}
-
-// RunWithSharesCap is RunWithShares with a declared load cap (0 = none).
-func RunWithSharesCap(q *query.Query, db *data.Database, shares []int, seed int64, capBits float64) *Result {
-	return RunWithSharesCapNet(q, db, shares, seed, capBits, engine.Env{})
-}
-
-// RunWithSharesCapNet is RunWithSharesCap with round delivery through net
-// (nil = in-process).
-func RunWithSharesCapNet(q *query.Query, db *data.Database, shares []int, seed int64, capBits float64, env engine.Env) *Result {
-	return RunPlanWithCapNet(sharesPlan(q, db, shares), db, seed, capBits, env)
-}
-
-// sharesPlan wraps explicit integer shares in a Plan (no LP, zero
-// exponents) — the construction shared by the plain and aggregate
-// explicit-shares entry points.
-func sharesPlan(q *query.Query, db *data.Database, shares []int) *Plan {
+// SharesPlan wraps explicit integer shares (one per variable of q) in a
+// Plan with no LP behind it (zero exponents) — e.g. all shares on the join
+// variable reproduces the naive parallel hash join of Example 4.1.
+func SharesPlan(q *query.Query, db *data.Database, shares []int) *Plan {
 	return &Plan{Query: q, P: prodInt(shares), Shares: append([]int(nil), shares...),
 		Exponents: make([]float64, len(shares)), StatsBits: StatsBits(q, db)}
 }
@@ -225,54 +204,22 @@ func prodInt(xs []int) int {
 }
 
 // RunPlan executes a prepared plan on db with the given hash seed, under
-// the partitioned-input model (each relation dealt round-robin).
-func RunPlan(pl *Plan, db *data.Database, seed int64) *Result {
-	return RunPlanWithCap(pl, db, seed, 0)
-}
-
-// RunPlanWithCap is RunPlan with a declared load cap (Section 2.1's abort
-// semantics): when capBits > 0 and any server receives more, the result's
-// Aborted flag is set. The output is still computed (the caller decides
-// whether to retry with a fresh hash seed).
-func RunPlanWithCap(pl *Plan, db *data.Database, seed int64, capBits float64) *Result {
-	return RunPlanWithCapNet(pl, db, seed, capBits, engine.Env{})
-}
-
-// RunPlanWithCapNet is RunPlanWithCap with round delivery through net (nil
-// = in-process). Every strategy path threads its transport exclusively
-// through these Net variants — the algorithms themselves are
-// transport-oblivious, as the delivery seam requires.
-func RunPlanWithCapNet(pl *Plan, db *data.Database, seed int64, capBits float64, env engine.Env) *Result {
-	return runPlanSeeded(pl, db, seed, capBits, nil, partitionedSeeding(db), env)
-}
-
-// RunPlanAggregate executes pl and then computes agg over the join output
-// with one extra communication round: every server folds (pushdown) or
-// projects (no pushdown) its local join output into (group key, annotation)
-// rows, routes them by key hash, and destinations fold their received rows
-// into the final groups. The Result's Output is the canonical aggregate
+// the partitioned-input model (each relation dealt round-robin), with
+// every round delivered and metered through env. A declared load cap
+// (env.LoadCapBits, Section 2.1's abort semantics) sets the result's
+// Aborted flag when exceeded; the output is still computed, and the caller
+// decides whether to retry with a fresh hash seed.
+//
+// A non-nil agg computes the aggregate over the join output with one extra
+// communication round: every server folds (pushdown) or projects (no
+// pushdown) its local join output into (group key, annotation) rows,
+// routes them by key hash, and destinations fold their received rows into
+// the final groups. The Result's Output is then the canonical aggregate
 // relation — (group key..., value) tuples sorted lexicographically, the
 // synthetic key of a global aggregate dropped — identical whether or not
 // pushdown ran; only the second round's bits differ.
-func RunPlanAggregate(pl *Plan, db *data.Database, seed int64, capBits float64, agg *aggregate.Plan) *Result {
-	return RunPlanAggregateNet(pl, db, seed, capBits, agg, engine.Env{})
-}
-
-// RunPlanAggregateNet is RunPlanAggregate with round delivery through net
-// (nil = in-process).
-func RunPlanAggregateNet(pl *Plan, db *data.Database, seed int64, capBits float64, agg *aggregate.Plan, env engine.Env) *Result {
-	return runPlanSeeded(pl, db, seed, capBits, agg, partitionedSeeding(db), env)
-}
-
-// RunWithSharesAggregate is RunPlanAggregate over explicit integer shares.
-func RunWithSharesAggregate(q *query.Query, db *data.Database, shares []int, seed int64, capBits float64, agg *aggregate.Plan) *Result {
-	return RunWithSharesAggregateNet(q, db, shares, seed, capBits, agg, engine.Env{})
-}
-
-// RunWithSharesAggregateNet is RunWithSharesAggregate with round delivery
-// through net (nil = in-process).
-func RunWithSharesAggregateNet(q *query.Query, db *data.Database, shares []int, seed int64, capBits float64, agg *aggregate.Plan, env engine.Env) *Result {
-	return RunPlanAggregateNet(sharesPlan(q, db, shares), db, seed, capBits, agg, env)
+func RunPlan(pl *Plan, db *data.Database, seed int64, agg *aggregate.Plan, env engine.Env) *Result {
+	return runPlanSeeded(pl, db, seed, agg, partitionedSeeding(db), env)
 }
 
 // partitionedSeeding deals each relation round-robin across the grid — the
@@ -295,7 +242,7 @@ func partitionedSeeding(db *data.Database) func(*engine.Cluster, *query.Query, i
 // partitioned-input run — the equivalence the paper uses to transfer its
 // lower bounds between the two models.
 func RunPlanInputServers(pl *Plan, db *data.Database, seed int64) *Result {
-	return runPlanSeededLocal(pl, db, seed, 0, nil, func(cluster *engine.Cluster, q *query.Query, gp int) {
+	return runPlanSeeded(pl, db, seed, nil, func(cluster *engine.Cluster, q *query.Query, gp int) {
 		for j, a := range q.Atoms {
 			rel := db.Get(a.Name)
 			m := rel.NumTuples()
@@ -303,23 +250,16 @@ func RunPlanInputServers(pl *Plan, db *data.Database, seed int64) *Result {
 				cluster.Seed(j%gp, j, rel.Tuple(i))
 			}
 		}
-	})
+	}, engine.Env{})
 }
 
-func runPlanSeededLocal(pl *Plan, db *data.Database, seed int64, capBits float64, agg *aggregate.Plan, seedInput func(*engine.Cluster, *query.Query, int)) *Result {
-	return runPlanSeeded(pl, db, seed, capBits, agg, seedInput, engine.Env{})
-}
-
-func runPlanSeeded(pl *Plan, db *data.Database, seed int64, capBits float64, agg *aggregate.Plan, seedInput func(*engine.Cluster, *query.Query, int), env engine.Env) *Result {
+func runPlanSeeded(pl *Plan, db *data.Database, seed int64, agg *aggregate.Plan, seedInput func(*engine.Cluster, *query.Query, int), env engine.Env) *Result {
 	q := pl.Query
 	grid := hashing.NewGrid(pl.Shares)
 	gp := grid.P()
 	family := hashing.NewFamily(seed, q.NumVars())
 	cluster := engine.NewClusterEnv(env, gp, data.BitsPerValue(db.N))
 	defer cluster.Release()
-	if capBits > 0 {
-		cluster.SetLoadCap(capBits)
-	}
 
 	seedInput(cluster, q, gp)
 	shuffle(cluster, "hypercube-shuffle", q, grid, family)
@@ -586,20 +526,6 @@ func SequentialAnswer(q *query.Query, db *data.Database) *data.Relation {
 		rels[a.Name] = db.Get(a.Name)
 	}
 	return localjoin.Evaluate(q, rels)
-}
-
-// MaxLoadOverSeeds runs the plan with several hash seeds and reports the
-// worst observed load — the experimental analogue of the paper's
-// with-high-probability statements.
-func MaxLoadOverSeeds(pl *Plan, db *data.Database, seeds []int64) float64 {
-	worst := 0.0
-	for _, s := range seeds {
-		r := RunPlan(pl, db, s)
-		if r.MaxLoadBits > worst {
-			worst = r.MaxLoadBits
-		}
-	}
-	return worst
 }
 
 // SharesByName returns the plan's shares keyed by variable name, sorted for

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"mpcquery/internal/data"
+	"mpcquery/internal/engine"
 	"mpcquery/internal/packing"
 	"mpcquery/internal/query"
 )
@@ -46,11 +47,16 @@ func TestIntegerSharesUsesBudget(t *testing.T) {
 	}
 }
 
+// run plans q on db and executes it plainly (no aggregate, no cap).
+func run(q *query.Query, db *data.Database, p int, seed int64, mode Mode) *Result {
+	return RunPlan(PlanForDatabase(q, db, p, mode), db, seed, nil, engine.Env{})
+}
+
 func runMatching(t *testing.T, q *query.Query, m int, p int, mode Mode) *Result {
 	t.Helper()
 	rng := rand.New(rand.NewSource(77))
 	db := data.MatchingDatabase(rng, q, m, int64(m*m))
-	res := Run(q, db, p, 4242, mode)
+	res := run(q, db, p, 4242, mode)
 	want := SequentialAnswer(q, db)
 	if !data.Equal(res.Output, want) {
 		t.Fatalf("%s: parallel output (%d tuples) != sequential (%d tuples)",
@@ -81,7 +87,7 @@ func TestHyperCubeNonTrivialOutput(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	db := data.ChainMatchingDatabase(rng, 3, 400, 1_000_000)
 	q := query.Chain(3)
-	res := Run(q, db, 64, 1, SkewFree)
+	res := run(q, db, 64, 1, SkewFree)
 	if res.Output.NumTuples() != 400 {
 		t.Fatalf("chain output=%d want 400", res.Output.NumTuples())
 	}
@@ -101,7 +107,7 @@ func TestHyperCubeRandomQueries(t *testing.T) {
 		m := 50 + r.Intn(200)
 		db := data.MatchingDatabase(r, q, m, int64(4*m))
 		p := []int{4, 8, 16, 27, 64}[r.Intn(5)]
-		res := Run(q, db, p, seed, SkewFree)
+		res := run(q, db, p, seed, SkewFree)
 		return data.Equal(res.Output, SequentialAnswer(q, db))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40, Rand: rng}); err != nil {
@@ -144,8 +150,8 @@ func TestTriangleLoadScaling(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	m := 8000
 	db := data.MatchingDatabase(rng, q, m, int64(m*4))
-	load8 := Run(q, db, 8, 99, SkewFree).MaxLoadBits
-	load64 := Run(q, db, 64, 99, SkewFree).MaxLoadBits
+	load8 := run(q, db, 8, 99, SkewFree).MaxLoadBits
+	load64 := run(q, db, 64, 99, SkewFree).MaxLoadBits
 	ratio := load8 / load64
 	// Ideal ratio 8^{2/3} = 4; allow generous variance for hashing noise.
 	if ratio < 2.5 || ratio > 6.5 {
@@ -162,7 +168,7 @@ func TestLoadNearPrediction(t *testing.T) {
 	m := 8000
 	db := data.MatchingDatabase(rng, q, m, int64(m*4))
 	pl := PlanForDatabase(q, db, 64, SkewFree)
-	res := RunPlan(pl, db, 3)
+	res := RunPlan(pl, db, 3, nil, engine.Env{})
 	pred := pl.PredictedLoadBits()
 	if res.MaxLoadBits > 4*pred {
 		t.Errorf("measured %v >> predicted %v", res.MaxLoadBits, pred)
@@ -196,7 +202,7 @@ func TestSmallRelationBroadcast(t *testing.T) {
 	if math.Abs(su-1) > 1e-6 {
 		t.Fatalf("expected unit-vector packing at p=%d, got %v", p, u)
 	}
-	res := RunPlan(pl, db, 7)
+	res := RunPlan(pl, db, 7, nil, engine.Env{})
 	if res.MaxLoadBits > 4*lower {
 		t.Errorf("load %v should track linear-speedup bound %v", res.MaxLoadBits, lower)
 	}
@@ -211,7 +217,7 @@ func TestReplicationRateMeasured(t *testing.T) {
 	q := query.Triangle()
 	rng := rand.New(rand.NewSource(23))
 	db := data.MatchingDatabase(rng, q, 3000, 1<<20)
-	res := Run(q, db, 64, 5, SkewFree)
+	res := run(q, db, 64, 5, SkewFree)
 	if res.ReplicationRate < 3 || res.ReplicationRate > 5 {
 		t.Errorf("replication rate=%v want ≈4", res.ReplicationRate)
 	}
@@ -225,7 +231,7 @@ func TestRunWithShares(t *testing.T) {
 	zi := q.VarIndex("z")
 	shares := []int{1, 1, 1}
 	shares[zi] = 16
-	res := RunWithShares(q, db, shares, 11)
+	res := RunPlan(SharesPlan(q, db, shares), db, 11, nil, engine.Env{})
 	if !data.Equal(res.Output, SequentialAnswer(q, db)) {
 		t.Fatal("hash-join shares: wrong output")
 	}
@@ -269,13 +275,13 @@ func TestSkewObliviousTightness(t *testing.T) {
 	zi := q.VarIndex("z")
 	shares := []int{1, 1, 1}
 	shares[zi] = 16
-	res := RunWithShares(q, db, shares, 3)
+	res := RunPlan(SharesPlan(q, db, shares), db, 3, nil, engine.Env{})
 	m1 := db.Get("S1").SizeBits(n)
 	if res.MaxLoadBits < m1 {
 		t.Errorf("degenerate hashing should load >= M1=%v, got %v", m1, res.MaxLoadBits)
 	}
 	// The skew-oblivious LP picks cube shares instead, load ~ M/p^{1/3}.
-	obl := Run(q, db, 16, 3, SkewOblivious)
+	obl := run(q, db, 16, 3, SkewOblivious)
 	if obl.MaxLoadBits >= res.MaxLoadBits {
 		t.Errorf("oblivious shares %v should beat naive %v on this instance",
 			obl.MaxLoadBits, res.MaxLoadBits)

@@ -37,21 +37,9 @@ func DesugarSelfJoins(name string, atoms []query.Atom) (*query.Query, map[string
 
 // RunWithSelfJoins evaluates a conjunctive query that may repeat relation
 // names (e.g. length-2 paths E(x,y), E(y,z) over one edge relation) with
-// the one-round HyperCube algorithm: atoms are renamed apart and each copy
-// reads the shared relation through a renamed view.
-func RunWithSelfJoins(name string, atoms []query.Atom, db *data.Database, p int, seed int64, mode Mode) *Result {
-	return RunWithSelfJoinsCap(name, atoms, db, p, seed, mode, 0)
-}
-
-// RunWithSelfJoinsCap is RunWithSelfJoins with a declared load cap in bits
-// (Section 2.1's abort semantics); 0 means no cap.
-func RunWithSelfJoinsCap(name string, atoms []query.Atom, db *data.Database, p int, seed int64, mode Mode, capBits float64) *Result {
-	return RunWithSelfJoinsCapNet(name, atoms, db, p, seed, mode, capBits, engine.Env{})
-}
-
-// RunWithSelfJoinsCapNet is RunWithSelfJoinsCap with round delivery through
-// net (nil = in-process).
-func RunWithSelfJoinsCapNet(name string, atoms []query.Atom, db *data.Database, p int, seed int64, mode Mode, capBits float64, env engine.Env) *Result {
+// the one-round HyperCube algorithm, under env: atoms are renamed apart and
+// each copy reads the shared relation through a renamed view.
+func RunWithSelfJoins(name string, atoms []query.Atom, db *data.Database, p int, seed int64, mode Mode, env engine.Env) *Result {
 	q, mapping := DesugarSelfJoins(name, atoms)
 	view := data.NewDatabase(db.N)
 	for newName, orig := range mapping {
@@ -63,7 +51,7 @@ func RunWithSelfJoinsCapNet(name string, atoms []query.Atom, db *data.Database, 
 		}
 		view.Add(rel)
 	}
-	return RunPlanWithCapNet(PlanForDatabase(q, view, p, mode), view, seed, capBits, env)
+	return RunPlan(PlanForDatabase(q, view, p, mode), view, seed, nil, env)
 }
 
 // SequentialAnswerWithSelfJoins is the single-node ground truth for

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mpcquery/internal/data"
+	"mpcquery/internal/engine"
 	"mpcquery/internal/query"
 )
 
@@ -45,7 +46,7 @@ func TestSelfJoinPath2(t *testing.T) {
 		{Name: "E", Vars: []string{"x", "y"}},
 		{Name: "E", Vars: []string{"y", "z"}},
 	}
-	res := RunWithSelfJoins("path2", atoms, db, 16, 7, SkewFree)
+	res := RunWithSelfJoins("path2", atoms, db, 16, 7, SkewFree, engine.Env{})
 	want := SequentialAnswerWithSelfJoins("path2", atoms, db)
 	if !data.Equal(res.Output, want) {
 		t.Fatalf("self-join path2: %d vs %d tuples", res.Output.NumTuples(), want.NumTuples())
@@ -71,7 +72,7 @@ func TestSelfJoinTriangleSingleRelation(t *testing.T) {
 		{Name: "E", Vars: []string{"y", "z"}},
 		{Name: "E", Vars: []string{"z", "x"}},
 	}
-	res := RunWithSelfJoins("tri", atoms, db, 27, 3, SkewFree)
+	res := RunWithSelfJoins("tri", atoms, db, 27, 3, SkewFree, engine.Env{})
 	want := SequentialAnswerWithSelfJoins("tri", atoms, db)
 	if !data.Equal(res.Output, want) {
 		t.Fatalf("self-join triangle: %d vs %d", res.Output.NumTuples(), want.NumTuples())

@@ -5,6 +5,7 @@ import (
 
 	"mpcquery/internal/core"
 	"mpcquery/internal/data"
+	"mpcquery/internal/engine"
 	"mpcquery/internal/query"
 )
 
@@ -28,13 +29,16 @@ func AbortProbability(cfg Config) *Table {
 	rng := rand.New(rand.NewSource(cfg.Seed + 15))
 	db := data.MatchingDatabase(rng, q, m, int64(16*m))
 	pl := core.PlanForDatabase(q, db, p, core.SkewFree)
-	// Calibrate to the median measured load across a few seeds (the LP
+	// Calibrate to the worst measured load across a few seeds (the LP
 	// prediction omits the per-relation replication constant).
-	base := core.MaxLoadOverSeeds(pl, db, []int64{1, 2, 3})
+	base := 0.0
+	for _, seed := range []int64{1, 2, 3} {
+		base = max(base, core.RunPlan(pl, db, seed, nil, engine.Env{}).MaxLoadBits)
+	}
 	for _, c := range []float64{0.95, 1.05, 1.2, 1.5} {
 		aborts := 0
 		for tr := 0; tr < trials; tr++ {
-			res := core.RunPlanWithCap(pl, db, cfg.Seed+int64(100+tr), c*base)
+			res := core.RunPlan(pl, db, cfg.Seed+int64(100+tr), nil, engine.Env{LoadCapBits: c * base})
 			if res.Aborted {
 				aborts++
 			}

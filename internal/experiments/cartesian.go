@@ -7,6 +7,7 @@ import (
 
 	"mpcquery/internal/core"
 	"mpcquery/internal/data"
+	"mpcquery/internal/engine"
 	"mpcquery/internal/query"
 )
 
@@ -37,7 +38,7 @@ func CartesianProduct(cfg Config) *Table {
 	M := db.Get("R").SizeBits(n)
 	for _, p := range []int{4, 16, 64, 256} {
 		pl := core.PlanForDatabase(q, db, p, core.SkewFree)
-		res := core.RunPlan(pl, db, cfg.Seed)
+		res := core.RunPlan(pl, db, cfg.Seed, nil, engine.Env{})
 		pred := 2 * M / math.Sqrt(float64(p))
 		t.Add(p, shareString(pl.Shares), res.MaxLoadBits, pred,
 			res.MaxLoadBits/pred, res.ReplicationRate)

@@ -8,6 +8,7 @@ import (
 	"mpcquery/internal/bounds"
 	"mpcquery/internal/core"
 	"mpcquery/internal/data"
+	"mpcquery/internal/engine"
 	"mpcquery/internal/packing"
 	"mpcquery/internal/query"
 )
@@ -38,7 +39,7 @@ func Table2ShareExponents(cfg Config) *Table {
 		stats := core.StatsBits(q, db)
 		sh := packing.ShareExponents(q, stats, float64(p))
 		predicted := stats[0] / math.Pow(float64(p), 1/tau)
-		res := core.Run(q, db, p, cfg.Seed, core.SkewFree)
+		res := core.RunPlan(core.PlanForDatabase(q, db, p, core.SkewFree), db, cfg.Seed, nil, engine.Env{})
 		t.Add(q.Name, expString(sh.Exponents), tau, bounds.SpaceExponentLB(q),
 			predicted, res.MaxLoadBits, res.MaxLoadBits/predicted)
 	}
@@ -82,7 +83,7 @@ func TriangleUnequalSizes(cfg Config) *Table {
 	for _, p := range []int{4, 8, 16, 64, 256} {
 		lower, u := packing.LLower(q, stats, float64(p))
 		se := packing.SpeedupExponent(q, stats, float64(p))
-		res := core.Run(q, db, p, cfg.Seed, core.SkewFree)
+		res := core.RunPlan(core.PlanForDatabase(q, db, p, core.SkewFree), db, cfg.Seed, nil, engine.Env{})
 		t.Add(p, packString(u), se, lower, res.MaxLoadBits, res.MaxLoadBits/lower)
 	}
 	t.Note("M1 = M/16: for p ≤ 16 the unit-vector packing wins (broadcast S1, linear speedup); beyond, (1/2,1/2,1/2) with p^{2/3} speedup")
@@ -124,7 +125,7 @@ func ReplicationRate(cfg Config) *Table {
 	db := data.MatchingDatabase(rng, q, m, int64(8*m))
 	stats := core.StatsBits(q, db)
 	for _, p := range []int{8, 27, 64, 216} {
-		res := core.Run(q, db, p, cfg.Seed, core.SkewFree)
+		res := core.RunPlan(core.PlanForDatabase(q, db, p, core.SkewFree), db, cfg.Seed, nil, engine.Env{})
 		L := res.MaxLoadBits
 		shape := bounds.ReplicationRateShape(q, stats[0], L)
 		lb := bounds.ReplicationRateLB(q, stats, L)

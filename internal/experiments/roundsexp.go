@@ -8,6 +8,7 @@ import (
 	"mpcquery/internal/bounds"
 	"mpcquery/internal/core"
 	"mpcquery/internal/data"
+	"mpcquery/internal/engine"
 	"mpcquery/internal/multiround"
 	"mpcquery/internal/packing"
 	"mpcquery/internal/query"
@@ -75,7 +76,7 @@ func ChainMultiRound(cfg Config) *Table {
 		db := data.ChainMatchingDatabase(rng, tt.k, m, int64(16*m))
 		plan := multiround.ChainPlan(tt.k, tt.eps)
 		lb := multiround.ChainEpsPlan(tt.k, tt.eps).RoundsLB()
-		res := multiround.Execute(plan, db, p, cfg.Seed)
+		res := multiround.Execute(plan, db, p, cfg.Seed, nil, nil, engine.Env{})
 		M := db.Get("S1").SizeBits(db.N)
 		target := M / math.Pow(float64(p), 1-tt.eps)
 		t.Add(fmt.Sprintf("L%d", tt.k), tt.eps, plan.Rounds(), lb,
@@ -85,7 +86,7 @@ func ChainMultiRound(cfg Config) *Table {
 	spq := query.SpokedWheel(3)
 	spdb := data.MatchingDatabase(rng, spq, m, int64(16*m))
 	spPlan := multiround.GreedyPlan(spq, 0)
-	spRes := multiround.Execute(spPlan, spdb, p, cfg.Seed)
+	spRes := multiround.Execute(spPlan, spdb, p, cfg.Seed, nil, nil, engine.Env{})
 	M := spdb.Get("R1").SizeBits(spdb.N)
 	t.Add("SP3", 0.0, spPlan.Rounds(), 2, spRes.Rounds, spRes.MaxLoadBits,
 		M/float64(p), spRes.MaxLoadBits/(M/float64(p)))
@@ -112,7 +113,7 @@ func CycleRounds(cfg Config) *Table {
 		lb := multiround.CycleEpsPlan(k, 0).RoundsLB()
 		ub := bounds.RoundsUB(q, 0)
 		plan := multiround.CyclePlan(k, 0)
-		res := multiround.Execute(plan, db, p, cfg.Seed)
+		res := multiround.Execute(plan, db, p, cfg.Seed, nil, nil, engine.Env{})
 		ok := data.Equal(res.Output, core.SequentialAnswer(q, db))
 		t.Add(fmt.Sprintf("C%d", k), lb, ub, plan.Rounds(), res.Rounds, ok)
 	}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"mpcquery/internal/data"
+	"mpcquery/internal/engine"
 	"mpcquery/internal/query"
 	"mpcquery/internal/skew"
 )
@@ -30,9 +31,11 @@ func SampledStats(cfg Config) *Table {
 	db := data.SkewedStarDatabase(rng, 2, m, int64(16*m), map[int64]int{
 		7: m / 2, 9: m / 8,
 	})
-	oracle := skew.RunStar(q, db, p, cfg.Seed)
+	oracle := skew.RunStar(skew.PrepareStar(q, db, p), q, db, p, cfg.Seed, engine.Env{})
 	for _, sample := range []int{10, 50, 200, m} {
-		sampled := skew.RunStarSampled(q, db, p, cfg.Seed, sample)
+		st := skew.StarStatsSpec(q, db, p).Run(p, sample, cfg.Seed, 0)
+		sampled := skew.RunStar(skew.PrepareStarWithFrequencies(q, db, p, st.PerAtom), q, db, p, cfg.Seed, engine.Env{})
+		skew.AddStatsCharges(sampled, st)
 		if !data.Equal(oracle.Output, sampled.Output) {
 			panic("experiments: sampled statistics changed the output")
 		}

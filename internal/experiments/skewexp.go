@@ -8,6 +8,7 @@ import (
 	"mpcquery/internal/bounds"
 	"mpcquery/internal/core"
 	"mpcquery/internal/data"
+	"mpcquery/internal/engine"
 	"mpcquery/internal/query"
 	"mpcquery/internal/skew"
 )
@@ -39,9 +40,9 @@ func SkewedJoin(cfg Config) *Table {
 		zi := q.VarIndex("z")
 		shares := []int{1, 1, 1}
 		shares[zi] = p
-		naive := core.RunWithShares(q, db, shares, cfg.Seed)
-		oblivious := core.Run(q, db, p, cfg.Seed, core.SkewOblivious)
-		aware := skew.RunStar(q, db, p, cfg.Seed)
+		naive := core.RunPlan(core.SharesPlan(q, db, shares), db, cfg.Seed, nil, engine.Env{})
+		oblivious := core.RunPlan(core.PlanForDatabase(q, db, p, core.SkewOblivious), db, cfg.Seed, nil, engine.Env{})
+		aware := skew.RunStar(skew.PrepareStar(q, db, p), q, db, p, cfg.Seed, engine.Env{})
 
 		lb := bounds.StarSkewLB(starFreqBits(q, db), float64(p))
 		t.Add(frac, naive.MaxLoadBits, oblivious.MaxLoadBits,
@@ -90,8 +91,8 @@ func SkewedStar(cfg Config) *Table {
 	}
 	for _, pr := range profiles {
 		db := data.SkewedStarDatabase(rng, 3, m, int64(16*m), pr.heavy)
-		vanilla := core.Run(q, db, p, cfg.Seed, core.SkewFree)
-		aware := skew.RunStar(q, db, p, cfg.Seed)
+		vanilla := core.RunPlan(core.PlanForDatabase(q, db, p, core.SkewFree), db, cfg.Seed, nil, engine.Env{})
+		aware := skew.RunStar(skew.PrepareStar(q, db, p), q, db, p, cfg.Seed, engine.Env{})
 		lb := bounds.StarSkewLB(starFreqBits(q, db), float64(p))
 		t.Add(pr.name, vanilla.MaxLoadBits, aware.MaxLoadBits, lb, aware.MaxLoadBits/lb)
 	}
@@ -116,8 +117,8 @@ func SkewedTriangle(cfg Config) *Table {
 	rng := rand.New(rand.NewSource(cfg.Seed + 6))
 	for _, hc := range []int{0, m / 16, m / 4, m / 2} {
 		db := data.SkewedTriangleDatabase(rng, m, int64(16*m), 5, hc)
-		vanilla := core.Run(q, db, p, cfg.Seed, core.SkewFree)
-		aware := skew.RunTriangle(q, db, p, cfg.Seed)
+		vanilla := core.RunPlan(core.PlanForDatabase(q, db, p, core.SkewFree), db, cfg.Seed, nil, engine.Env{})
+		aware := skew.RunTriangle(skew.PrepareTriangle(q, db, p), q, db, p, cfg.Seed, engine.Env{})
 		M := db.Get("S1").SizeBits(db.N)
 		ub := triangleBound(q, db, M, float64(p))
 		t.Add(hc, vanilla.MaxLoadBits, aware.MaxLoadBits, ub,

@@ -6,6 +6,7 @@ import (
 
 	"mpcquery/internal/core"
 	"mpcquery/internal/data"
+	"mpcquery/internal/engine"
 	"mpcquery/internal/packing"
 	"mpcquery/internal/query"
 )
@@ -29,7 +30,7 @@ func SpeedupCurve(cfg Config) *Table {
 		db := data.MatchingDatabase(rng, q, m, int64(16*m))
 		var xs, ys []float64
 		for _, p := range grid {
-			res := core.Run(q, db, p, cfg.Seed, core.SkewFree)
+			res := core.RunPlan(core.PlanForDatabase(q, db, p, core.SkewFree), db, cfg.Seed, nil, engine.Env{})
 			xs = append(xs, math.Log(float64(p)))
 			ys = append(ys, math.Log(res.MaxLoadBits))
 		}

@@ -1,12 +1,10 @@
 package localjoin
 
 import (
-	"math/rand"
 	"testing"
 
 	"mpcquery/internal/data"
 	"mpcquery/internal/localjoin/baseline"
-	"mpcquery/internal/query"
 )
 
 // BenchmarkEvaluate measures the columnar kernel against the preserved
@@ -59,30 +57,4 @@ func BenchmarkEvaluateCached(b *testing.B) {
 			b.Fatal("no output")
 		}
 	}
-}
-
-// BenchmarkJoinOrderAblation compares the greedy connected order against
-// the pathological disconnected order (both chain endpoints first, forcing
-// a cartesian intermediate) on L3 — the design-choice ablation for the
-// evaluator's ordering heuristic.
-func BenchmarkJoinOrderAblation(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	db := data.ChainMatchingDatabase(rng, 3, 2000, 1<<20)
-	q := query.Chain(3)
-	rels := make(map[string]*data.Relation)
-	for _, a := range q.Atoms {
-		rels[a.Name] = db.Get(a.Name)
-	}
-	b.Run("greedy", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			Evaluate(q, rels)
-		}
-	})
-	b.Run("endpoints-first", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := EvaluateOrdered(q, rels, []int{0, 2, 1}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

@@ -198,61 +198,6 @@ func TestScratchFragmentReuseDoesNotCorruptCache(t *testing.T) {
 	}
 }
 
-// TestSemiAntiJoinMatchesBaselineRandom pins the kernel-backed SemiJoin and
-// AntiJoin against the baseline's map implementation.
-func TestSemiAntiJoinMatchesBaselineRandom(t *testing.T) {
-	r := rand.New(rand.NewSource(4321))
-	varSets := [][2][]string{
-		{{"x", "y"}, {"y", "z"}},
-		{{"x", "y"}, {"x", "y"}},
-		{{"x"}, {"y"}}, // no common vars
-		{{"x", "y", "z"}, {"z", "x"}},
-	}
-	for trial := 0; trial < 200; trial++ {
-		vs := varSets[r.Intn(len(varSets))]
-		lv, rv := vs[0], vs[1]
-		l := data.NewRelation("L", len(lv))
-		rr := data.NewRelation("R", len(rv))
-		row := make([]int64, 3)
-		for i, m := 0, r.Intn(30); i < m; i++ {
-			for c := range row {
-				row[c] = int64(r.Intn(6))
-			}
-			l.AppendTuple(row[:len(lv)])
-		}
-		for i, m := 0, r.Intn(30); i < m; i++ {
-			for c := range row {
-				row[c] = int64(r.Intn(6))
-			}
-			rr.AppendTuple(row[:len(rv)])
-		}
-		if got, want := SemiJoin(l, rr, lv, rv), baseline.SemiJoin(l, rr, lv, rv); !sameRelationExactly(got, want) {
-			t.Fatalf("trial %d: SemiJoin diverged (%v ⋉ %v)", trial, lv, rv)
-		}
-		if got, want := AntiJoin(l, rr, lv, rv), baseline.AntiJoin(l, rr, lv, rv); !sameRelationExactly(got, want) {
-			t.Fatalf("trial %d: AntiJoin diverged (%v ▷ %v)", trial, lv, rv)
-		}
-	}
-}
-
-// TestEvaluateOrderedMissingRelation: the ablation entry point returns the
-// typed sentinel instead of panicking across the computation phase.
-func TestEvaluateOrderedMissingRelation(t *testing.T) {
-	q := query.MustParse("q(x,y,z) :- R(x,y), S(y,z)")
-	rels := map[string]*data.Relation{"R": data.FromTuples("R", 2, []int64{1, 2})}
-	out, err := EvaluateOrdered(q, rels, []int{0, 1})
-	if out != nil || err == nil {
-		t.Fatalf("want nil result + error, got %v, %v", out, err)
-	}
-	if !errors.Is(err, ErrMissingRelation) {
-		t.Fatalf("error %v is not ErrMissingRelation", err)
-	}
-	var mre *MissingRelationError
-	if !errors.As(err, &mre) || mre.Atom != "S" {
-		t.Fatalf("want MissingRelationError for S, got %v", err)
-	}
-}
-
 // TestEvaluatePanicsTypedOnMissingRelation: the validated-input entry point
 // panics with the same typed error, which the Run boundary converts.
 func TestEvaluatePanicsTypedOnMissingRelation(t *testing.T) {

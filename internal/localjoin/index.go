@@ -113,27 +113,6 @@ func (ix *atomIndex) build(rel *data.Relation, keyCols []int, eqPairs [][2]int, 
 	}
 }
 
-// contains reports whether any indexed tuple matches key on the key columns
-// — the semijoin probe. With zero key columns it reports whether the index
-// holds any (consistent) tuple at all.
-func (ix *atomIndex) contains(key []int64) bool {
-	slot := hashKey(key) & ix.mask
-	for e := ix.head[slot]; e != 0; e = ix.next[e] {
-		base := int(e-1) * ix.arity
-		match := true
-		for t, kc := range ix.keyCols {
-			if ix.vals[base+int(kc)] != key[t] {
-				match = false
-				break
-			}
-		}
-		if match {
-			return true
-		}
-	}
-	return false
-}
-
 // indexKey identifies one shareable index build: the atom being joined, the
 // content identity of the relation under it, and the signature of the build
 // inputs (the same atom joins under different key sets when per-server

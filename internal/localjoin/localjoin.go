@@ -16,7 +16,6 @@ import (
 	"sync/atomic"
 
 	"mpcquery/internal/data"
-	"mpcquery/internal/localjoin/baseline"
 	"mpcquery/internal/query"
 )
 
@@ -26,10 +25,9 @@ import (
 var ErrMissingRelation = errors.New("localjoin: missing relation")
 
 // MissingRelationError reports that evaluation referenced an atom with no
-// relation supplied. EvaluateOrdered returns it; Evaluate and EvaluateAtoms
-// — whose callers pre-validate inputs — panic with it, and the Run error
-// boundary converts the panic into an ordinary error instead of letting it
-// cross the public API.
+// relation supplied. Evaluate and EvaluateAtoms — whose callers pre-validate
+// inputs — panic with it, and the Run error boundary converts the panic
+// into an ordinary error instead of letting it cross the public API.
 type MissingRelationError struct {
 	Atom string
 }
@@ -56,93 +54,9 @@ func SetBaselineForTest(on bool) { baselineMode.Store(on) }
 // returns the full result, one column per variable in q.Vars() order.
 // Duplicate output tuples are produced if the inputs are bags. Inputs are
 // assumed validated (every atom present); a missing relation panics with
-// *MissingRelationError — use EvaluateOrdered for an error-returning entry
-// point.
+// *MissingRelationError.
 func Evaluate(q *query.Query, rels map[string]*data.Relation) *data.Relation {
 	s := GrabScratch()
 	defer s.Release()
 	return s.Evaluate(q, rels)
-}
-
-// EvaluateOrdered is Evaluate with an explicit atom join order (a
-// permutation of atom indices). It exists for join-order ablations; the
-// default greedy order of Evaluate is usually much faster on connected
-// queries because every step stays bound to previous atoms. A relation
-// missing for some atom yields a *MissingRelationError (errors.Is
-// ErrMissingRelation) rather than a panic, so an ablation harness can probe
-// incomplete databases without tripping the engine's panic propagation.
-func EvaluateOrdered(q *query.Query, rels map[string]*data.Relation, order []int) (*data.Relation, error) {
-	for _, ai := range order {
-		if ai < 0 || ai >= q.NumAtoms() {
-			return nil, fmt.Errorf("localjoin: order index %d out of range for %d atoms", ai, q.NumAtoms())
-		}
-		if rels[q.Atoms[ai].Name] == nil {
-			return nil, &MissingRelationError{Atom: q.Atoms[ai].Name}
-		}
-	}
-	s := GrabScratch()
-	defer s.Release()
-	if baselineMode.Load() {
-		return baseline.EvaluateOrdered(q, rels, order), nil
-	}
-	return s.run(q, s.byAtom(q, rels), order, nil)
-}
-
-// SemiJoin returns the tuples of l that join with at least one tuple of r
-// on their common variables (the paper's ⋉ of Section 5.2). It probes the
-// kernel's open-addressed index over r — no string keys, no per-tuple
-// allocation.
-func SemiJoin(l, r *data.Relation, lVars, rVars []string) *data.Relation {
-	return semiJoin(l, r, lVars, rVars, true)
-}
-
-// AntiJoin returns the tuples of l with no matching tuple in r on the
-// common variables (the paper's ▷ of Section 5.2).
-func AntiJoin(l, r *data.Relation, lVars, rVars []string) *data.Relation {
-	return semiJoin(l, r, lVars, rVars, false)
-}
-
-func semiJoin(l, r *data.Relation, lVars, rVars []string, keep bool) *data.Relation {
-	lCols, rCols := commonColumns(lVars, rVars)
-	s := GrabScratch()
-	defer s.Release()
-	for len(s.idxs) == 0 {
-		s.idxs = append(s.idxs, atomIndex{})
-	}
-	ix := &s.idxs[0]
-	ix.build(r, rCols, nil, false)
-
-	out := data.NewRelation(l.Name, l.Arity)
-	nk := len(lCols)
-	if cap(s.key) < nk {
-		s.key = make([]int64, nk)
-	}
-	key := s.key[:nk]
-	m := l.NumTuples()
-	for i := 0; i < m; i++ {
-		t := l.Tuple(i)
-		for c, lc := range lCols {
-			key[c] = t[lc]
-		}
-		if ix.contains(key) == keep {
-			out.AppendTuple(t)
-		}
-	}
-	return out
-}
-
-// commonColumns maps the shared variables of two schemas to their column
-// positions on each side.
-func commonColumns(lVars, rVars []string) (lCols, rCols []int) {
-	rIdx := make(map[string]int, len(rVars))
-	for i, v := range rVars {
-		rIdx[v] = i
-	}
-	for i, v := range lVars {
-		if j, ok := rIdx[v]; ok {
-			lCols = append(lCols, i)
-			rCols = append(rCols, j)
-		}
-	}
-	return lCols, rCols
 }

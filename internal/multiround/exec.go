@@ -68,56 +68,35 @@ func (m Memo) do(key string, compute func() any) any {
 	return m(key, compute)
 }
 
-// Execute runs the plan on db with a budget of p servers per round. Nodes
-// at the same depth execute in the same communication round, splitting the
-// p servers evenly; the round's load is the maximum over its nodes, and the
-// plan's load L is the maximum over rounds — exactly the model's metric.
-func Execute(p *Plan, db *data.Database, servers int, seed int64) *ExecResult {
-	return ExecuteCap(p, db, servers, seed, 0)
-}
-
-// ExecuteCap is Execute with a declared per-round load cap in bits
-// (0 = none): every node of every round runs under the cap, and the
-// result's Aborted flag is set if any of them exceeded it.
-func ExecuteCap(p *Plan, db *data.Database, servers int, seed int64, capBits float64) *ExecResult {
-	return ExecuteCapMemo(p, db, servers, seed, capBits, nil)
-}
-
-// ExecuteCapMemo is ExecuteCap with per-node HyperCube plans drawn from
-// memo: every node of every round needs a share-LP solve over its
-// intermediate views, and a service replaying the same multi-round query
-// can reuse them all.
-func ExecuteCapMemo(p *Plan, db *data.Database, servers int, seed int64, capBits float64, memo Memo) *ExecResult {
-	return ExecuteAggregateCapMemo(p, db, servers, seed, capBits, nil, memo)
-}
-
-// ExecuteAggregateCapMemo is ExecuteCapMemo with an optional aggregate
-// computed at the root node: intermediate views stay full joins (later
-// rounds need every binding), and the root runs core.RunPlanAggregate — its
-// aggregate-shuffle round is appended to the plan's round accounting. A nil
-// agg executes the plain plan.
-func ExecuteAggregateCapMemo(p *Plan, db *data.Database, servers int, seed int64, capBits float64, agg *aggregate.Plan, memo Memo) *ExecResult {
-	return ExecuteAggregateCapMemoNet(p, db, servers, seed, capBits, agg, memo, engine.Env{})
-}
-
-// ExecuteAggregateCapMemoNet is ExecuteAggregateCapMemo with every node's
-// round delivery through net (nil = in-process). Nodes execute
-// sequentially, so a distributed run attaches one cluster at a time, in
-// the same deterministic order at every rank.
-func ExecuteAggregateCapMemoNet(p *Plan, db *data.Database, servers int, seed int64, capBits float64, agg *aggregate.Plan, memo Memo, env engine.Env) *ExecResult {
+// Execute runs the plan on db with a budget of p servers per round, every
+// node's rounds delivered and metered through env. Nodes at the same depth
+// execute in the same communication round, splitting the p servers evenly;
+// the round's load is the maximum over its nodes, and the plan's load L is
+// the maximum over rounds — exactly the model's metric. Nodes execute
+// sequentially, so a distributed run attaches one cluster at a time, in the
+// same deterministic order at every rank.
+//
+// The declared load cap (env.LoadCapBits) applies to every node of every
+// round, and the result's Aborted flag is set if any of them exceeded it.
+// A non-nil agg is computed at the root node: intermediate views stay full
+// joins (later rounds need every binding), and the root's aggregate-shuffle
+// round is appended to the plan's round accounting. Per-node HyperCube
+// plans are drawn from memo (nil = recompute): every node of every round
+// needs a share-LP solve over its intermediate views, and a service
+// replaying the same multi-round query can reuse them all.
+func Execute(p *Plan, db *data.Database, servers int, seed int64, agg *aggregate.Plan, memo Memo, env engine.Env) *ExecResult {
 	return executeWith(p, db, servers, func(n *Node, sub *data.Database, perNode int, d int) nodeResult {
 		pl := memo.do(fmt.Sprintf("node|%s|d%d|pn%d|s%d", n.Name, d, perNode, seed), func() any {
 			return core.PlanForDatabase(n.Query, sub, perNode, core.SkewFree)
 		}).(*core.Plan)
-		if agg != nil && n == p.Root {
-			run := core.RunPlanAggregateNet(pl, sub, seed+int64(d), capBits, agg, env)
-			return nodeResult{out: run.Output, loadBits: run.RoundLoads[0], totalBits: run.TotalBits, aborted: run.Aborted,
-				computeS: run.ComputeSeconds, commS: run.CommSeconds,
-				extraLoads: run.RoundLoads[1:], aggSaved: run.AggregateBitsSaved}
+		var rootAgg *aggregate.Plan
+		if n == p.Root {
+			rootAgg = agg
 		}
-		run := core.RunPlanWithCapNet(pl, sub, seed+int64(d), capBits, env)
-		return nodeResult{out: run.Output, loadBits: run.MaxLoadBits, totalBits: run.TotalBits, aborted: run.Aborted,
-			computeS: run.ComputeSeconds, commS: run.CommSeconds}
+		run := core.RunPlan(pl, sub, seed+int64(d), rootAgg, env)
+		return nodeResult{out: run.Output, loadBits: run.RoundLoads[0], totalBits: run.TotalBits, aborted: run.Aborted,
+			computeS: run.ComputeSeconds, commS: run.CommSeconds,
+			extraLoads: run.RoundLoads[1:], aggSaved: run.AggregateBitsSaved}
 	})
 }
 
@@ -224,33 +203,16 @@ func executeWith(p *Plan, db *data.Database, servers int,
 // the natural engineering answer: intermediate views can become skewed even
 // when the input is not (joins concentrate values), and per-node skew
 // handling contains the resulting hotspots. maxHeavyPerVar caps the pattern
-// enumeration per node.
-func ExecuteSkewAware(p *Plan, db *data.Database, servers int, seed int64, maxHeavyPerVar int) *ExecResult {
-	return ExecuteSkewAwareCap(p, db, servers, seed, maxHeavyPerVar, 0)
-}
-
-// ExecuteSkewAwareCap is ExecuteSkewAware with a declared per-round load
-// cap in bits (0 = none).
-func ExecuteSkewAwareCap(p *Plan, db *data.Database, servers int, seed int64, maxHeavyPerVar int, capBits float64) *ExecResult {
-	return ExecuteSkewAwareCapMemo(p, db, servers, seed, maxHeavyPerVar, capBits, nil)
-}
-
-// ExecuteSkewAwareCapMemo is ExecuteSkewAwareCap with per-node skew layouts
-// (heavy-hitter statistics plus pattern grids over the intermediate views)
-// drawn from memo — the per-node statistics recomputation is the bulk of
-// the skew-aware executor's planning cost.
-func ExecuteSkewAwareCapMemo(p *Plan, db *data.Database, servers int, seed int64, maxHeavyPerVar int, capBits float64, memo Memo) *ExecResult {
-	return ExecuteSkewAwareCapMemoNet(p, db, servers, seed, maxHeavyPerVar, capBits, memo, engine.Env{})
-}
-
-// ExecuteSkewAwareCapMemoNet is ExecuteSkewAwareCapMemo with every node's
-// round delivery through net (nil = in-process).
-func ExecuteSkewAwareCapMemoNet(p *Plan, db *data.Database, servers int, seed int64, maxHeavyPerVar int, capBits float64, memo Memo, env engine.Env) *ExecResult {
+// enumeration per node. Per-node skew layouts (heavy-hitter statistics plus
+// pattern grids over the intermediate views) are drawn from memo — the
+// per-node statistics recomputation is the bulk of the skew-aware
+// executor's planning cost.
+func ExecuteSkewAware(p *Plan, db *data.Database, servers int, seed int64, maxHeavyPerVar int, memo Memo, env engine.Env) *ExecResult {
 	return executeWith(p, db, servers, func(n *Node, sub *data.Database, perNode int, d int) nodeResult {
 		gp := memo.do(fmt.Sprintf("node-skew|%s|d%d|pn%d|s%d|h%d", n.Name, d, perNode, seed, maxHeavyPerVar), func() any {
 			return skew.PrepareGeneric(n.Query, sub, perNode, maxHeavyPerVar)
 		}).(*skew.GenericPlan)
-		run := skew.RunGenericPlannedNet(gp, n.Query, sub, perNode, seed+int64(d), capBits, env)
+		run := skew.RunGeneric(gp, n.Query, sub, perNode, seed+int64(d), env)
 		return nodeResult{out: run.Output, loadBits: run.MaxLoadBits, totalBits: run.TotalBits, aborted: run.Aborted,
 			computeS: run.ComputeSeconds, commS: run.CommSeconds}
 	})

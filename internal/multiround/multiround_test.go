@@ -7,6 +7,7 @@ import (
 	"mpcquery/internal/bounds"
 	"mpcquery/internal/core"
 	"mpcquery/internal/data"
+	"mpcquery/internal/engine"
 	"mpcquery/internal/query"
 )
 
@@ -75,7 +76,7 @@ func TestExecuteChainCorrect(t *testing.T) {
 	db := data.ChainMatchingDatabase(rng, k, 300, 1<<20)
 	q := query.Chain(k)
 	plan := ChainPlan(k, 0.5)
-	res := Execute(plan, db, 64, 7)
+	res := Execute(plan, db, 64, 7, nil, nil, engine.Env{})
 	want := core.SequentialAnswer(q, db)
 	if !data.Equal(res.Output, want) {
 		t.Fatalf("chain exec: got %d want %d tuples", res.Output.NumTuples(), want.NumTuples())
@@ -97,7 +98,7 @@ func TestExecuteCycleCorrect(t *testing.T) {
 	q := query.Cycle(6)
 	db := data.MatchingDatabase(rng, q, 400, 1<<20)
 	plan := CyclePlan(6, 0)
-	res := Execute(plan, db, 64, 9)
+	res := Execute(plan, db, 64, 9, nil, nil, engine.Env{})
 	want := core.SequentialAnswer(q, db)
 	if !data.Equal(res.Output, want) {
 		t.Fatalf("cycle exec: got %d want %d tuples", res.Output.NumTuples(), want.NumTuples())
@@ -110,7 +111,7 @@ func TestExecuteSpokedWheel(t *testing.T) {
 	q := query.SpokedWheel(2)
 	db := data.MatchingDatabase(rng, q, 300, 1<<20)
 	plan := GreedyPlan(q, 0)
-	res := Execute(plan, db, 32, 11)
+	res := Execute(plan, db, 32, 11, nil, nil, engine.Env{})
 	want := core.SequentialAnswer(q, db)
 	if !data.Equal(res.Output, want) {
 		t.Fatalf("SP2 exec: got %d want %d tuples", res.Output.NumTuples(), want.NumTuples())
@@ -126,8 +127,8 @@ func TestMultiRoundLoadAdvantage(t *testing.T) {
 	db := data.ChainMatchingDatabase(rng, k, m, 1<<22)
 	q := query.Chain(k)
 
-	oneRound := core.Run(q, db, p, 13, core.SkewFree)
-	twoRound := Execute(ChainPlan(k, 0), db, p, 13)
+	oneRound := core.RunPlan(core.PlanForDatabase(q, db, p, core.SkewFree), db, 13, nil, engine.Env{})
+	twoRound := Execute(ChainPlan(k, 0), db, p, 13, nil, nil, engine.Env{})
 	if !data.Equal(oneRound.Output, twoRound.Output) {
 		t.Fatal("outputs differ")
 	}
@@ -310,7 +311,7 @@ func TestIntermediatesStayLinear(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	m := 500
 	db := data.ChainMatchingDatabase(rng, 8, m, 1<<20)
-	res := Execute(ChainPlan(8, 0), db, 32, 5)
+	res := Execute(ChainPlan(8, 0), db, 32, 5, nil, nil, engine.Env{})
 	if res.MaxViewTuples != m {
 		t.Errorf("max intermediate=%d want %d (matchings compose 1:1)", res.MaxViewTuples, m)
 	}
@@ -323,7 +324,7 @@ func TestExecuteSkewAwareCorrect(t *testing.T) {
 	db := data.ChainMatchingDatabase(rng, 4, 400, 1<<20)
 	q := query.Chain(4)
 	plan := ChainPlan(4, 0)
-	aware := ExecuteSkewAware(plan, db, 32, 7, 16)
+	aware := ExecuteSkewAware(plan, db, 32, 7, 16, nil, engine.Env{})
 	want := core.SequentialAnswer(q, db)
 	if !data.Equal(aware.Output, want) {
 		t.Fatalf("skew-aware exec: %d vs %d tuples", aware.Output.NumTuples(), want.NumTuples())
@@ -370,8 +371,8 @@ func TestExecuteSkewAwareBeatsVanillaOnSkew(t *testing.T) {
 
 	q := query.Chain(4)
 	plan := ChainPlan(4, 0)
-	vanilla := Execute(plan, db, 64, 5)
-	aware := ExecuteSkewAware(plan, db, 64, 5, 16)
+	vanilla := Execute(plan, db, 64, 5, nil, nil, engine.Env{})
+	aware := ExecuteSkewAware(plan, db, 64, 5, 16, nil, engine.Env{})
 	if !data.Equal(vanilla.Output, aware.Output) {
 		t.Fatal("outputs differ")
 	}

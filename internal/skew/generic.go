@@ -13,43 +13,13 @@ import (
 	"mpcquery/internal/query"
 )
 
-// RunGeneric computes an arbitrary connected conjunctive query in one round
-// with heavy-hitter statistics, generalizing the star and triangle
-// algorithms of Section 4.2 along the lines the paper attributes to its
-// follow-up ("the BinHC algorithm", reference [6]): the domain of every
-// variable is split into heavy values (frequency ≥ m_j/p in some adjacent
-// relation) and light values, and every *output pattern* — an assignment of
-// heavy values to a subset of the variables, with all other variables
-// light — gets its own HyperCube block:
-//
-//   - the all-light pattern runs the vanilla HyperCube on p servers;
-//   - a pattern σ fixing variables X runs the residual query on a grid over
-//     the light variables, with shares from the share LP on the residual
-//     statistics and servers allocated proportionally to the pattern's
-//     packing weight.
-//
-// Tuples route to every pattern consistent with them; output tuples are
-// produced in exactly one block (patterns partition the output), so no
-// deduplication occurs. The number of blocks is Π_v (1+|H_v|), so heavy
-// sets are capped at maxHeavyPerVar (the paper notes the general case has
-// no tight bound; this is the honest simplified construction).
-func RunGeneric(q *query.Query, db *data.Database, p int, seed int64, maxHeavyPerVar int) *Result {
-	return RunGenericCap(q, db, p, seed, maxHeavyPerVar, 0)
-}
-
-// RunGenericCap is RunGeneric with a declared per-round load cap in bits
-// (Section 2.1's abort semantics); 0 means no cap.
-func RunGenericCap(q *query.Query, db *data.Database, p int, seed int64, maxHeavyPerVar int, capBits float64) *Result {
-	return RunGenericPlanned(PrepareGeneric(q, db, p, maxHeavyPerVar), q, db, p, seed, capBits)
-}
-
 // GenericPlan is the reusable, seed-independent part of a generalized
 // heavy/light-pattern run: the per-variable heavy sets and the full pattern
 // enumeration with grids and server offsets. Preparing it is the expensive
 // phase of the algorithm — Π_v(1+|H_v|) patterns, each with its own share-LP
 // solve — so a service caches it per (query shape, database, p, heavy cap)
 // and replays it. The plan is immutable after preparation and safe for
-// concurrent RunGenericPlanned calls.
+// concurrent RunGeneric calls.
 type GenericPlan struct {
 	heavy        []map[int64]bool
 	patterns     []*genPattern
@@ -201,16 +171,32 @@ func PrepareGeneric(q *query.Query, db *data.Database, p int, maxHeavyPerVar int
 	}
 }
 
-// RunGenericPlanned executes the pattern-routing data round under a prepared
-// layout; see RunStarPlanned for the caching contract (bit-identical to the
-// unprepared path).
-func RunGenericPlanned(gp *GenericPlan, q *query.Query, db *data.Database, p int, seed int64, capBits float64) *Result {
-	return RunGenericPlannedNet(gp, q, db, p, seed, capBits, engine.Env{})
-}
-
-// RunGenericPlannedNet is RunGenericPlanned with round delivery through net
-// (nil = in-process).
-func RunGenericPlannedNet(gp *GenericPlan, q *query.Query, db *data.Database, p int, seed int64, capBits float64, env engine.Env) *Result {
+// RunGeneric computes an arbitrary connected conjunctive query in one round
+// with heavy-hitter statistics, under a layout prepared by PrepareGeneric
+// and with every round delivered and metered through env. It generalizes
+// the star and triangle algorithms of Section 4.2 along the lines the paper
+// attributes to its follow-up ("the BinHC algorithm", reference [6]): the domain of every
+// variable is split into heavy values (frequency ≥ m_j/p in some adjacent
+// relation) and light values, and every *output pattern* — an assignment of
+// heavy values to a subset of the variables, with all other variables
+// light — gets its own HyperCube block:
+//
+//   - the all-light pattern runs the vanilla HyperCube on p servers;
+//   - a pattern σ fixing variables X runs the residual query on a grid over
+//     the light variables, with shares from the share LP on the residual
+//     statistics and servers allocated proportionally to the pattern's
+//     packing weight.
+//
+// Tuples route to every pattern consistent with them; output tuples are
+// produced in exactly one block (patterns partition the output), so no
+// deduplication occurs. The number of blocks is Π_v (1+|H_v|), so heavy
+// sets are capped at PrepareGeneric's maxHeavyPerVar (the paper notes the
+// general case has no tight bound; this is the honest simplified
+// construction).
+//
+// See RunStar for the caching contract (a reused plan is bit-identical to a
+// fresh one).
+func RunGeneric(gp *GenericPlan, q *query.Query, db *data.Database, p int, seed int64, env engine.Env) *Result {
 	k := q.NumVars()
 	heavy, patterns := gp.heavy, gp.patterns
 	inputServers, total := gp.inputServers, gp.totalServers
@@ -219,9 +205,6 @@ func RunGenericPlannedNet(gp *GenericPlan, q *query.Query, db *data.Database, p 
 
 	cluster := engine.NewClusterEnv(env, total, bpv)
 	defer cluster.Release()
-	if capBits > 0 {
-		cluster.SetLoadCap(capBits)
-	}
 	for j, a := range q.Atoms {
 		rel := db.Get(a.Name)
 		m := rel.NumTuples()

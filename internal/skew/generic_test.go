@@ -14,7 +14,7 @@ func TestGenericNoSkewMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, q := range []*query.Query{query.Triangle(), query.Chain(3), query.Star(3)} {
 		db := data.MatchingDatabase(rng, q, 400, 1<<20)
-		res := RunGeneric(q, db, 16, 7, 16)
+		res := runGeneric(q, db, 16, 7, 16)
 		if !data.Equal(res.Output, core.SequentialAnswer(q, db)) {
 			t.Errorf("%s: generic output mismatch", q.Name)
 		}
@@ -29,7 +29,7 @@ func TestGenericStarSkew(t *testing.T) {
 	q := query.Star(2)
 	m := 500
 	db := data.SkewedStarDatabase(rng, 2, m, 1<<20, map[int64]int{7: m / 2, 9: m / 4})
-	res := RunGeneric(q, db, 16, 3, 16)
+	res := runGeneric(q, db, 16, 3, 16)
 	want := core.SequentialAnswer(q, db)
 	if !data.Equal(res.Output, want) {
 		t.Fatalf("generic star: got %d want %d", res.Output.NumTuples(), want.NumTuples())
@@ -43,7 +43,7 @@ func TestGenericTriangleSkew(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	q := query.Triangle()
 	db := data.SkewedTriangleDatabase(rng, 500, 1<<20, 5, 150)
-	res := RunGeneric(q, db, 27, 5, 16)
+	res := runGeneric(q, db, 27, 5, 16)
 	want := core.SequentialAnswer(q, db)
 	if !data.Equal(res.Output, want) {
 		t.Fatalf("generic triangle: got %d want %d", res.Output.NumTuples(), want.NumTuples())
@@ -71,7 +71,7 @@ func TestGenericChainSkew(t *testing.T) {
 	db.Add(data.RandomMatching(rng, "S1", 2, m, n))
 	db.Add(s2)
 	db.Add(data.RandomMatching(rng, "S3", 2, m, n))
-	res := RunGeneric(q, db, 16, 9, 16)
+	res := runGeneric(q, db, 16, 9, 16)
 	want := core.SequentialAnswer(q, db)
 	if !data.Equal(res.Output, want) {
 		t.Fatalf("generic chain: got %d want %d", res.Output.NumTuples(), want.NumTuples())
@@ -93,7 +93,7 @@ func TestGenericDenseRandom(t *testing.T) {
 			}
 			db.Add(rel)
 		}
-		res := RunGeneric(q, db, 8, seed, 8)
+		res := runGeneric(q, db, 8, seed, 8)
 		return data.Equal(res.Output, core.SequentialAnswer(q, db))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15, Rand: rng}); err != nil {
@@ -107,7 +107,7 @@ func TestGenericHeavyCap(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	q := query.Star(2)
 	db := data.SkewedStarDatabase(rng, 2, 400, 1<<20, map[int64]int{7: 120, 9: 100, 11: 80})
-	res := RunGeneric(q, db, 8, 3, 1)
+	res := runGeneric(q, db, 8, 3, 1)
 	if !data.Equal(res.Output, core.SequentialAnswer(q, db)) {
 		t.Fatal("capped heavy sets broke correctness")
 	}
@@ -119,8 +119,8 @@ func TestGenericBeatsVanillaUnderSkew(t *testing.T) {
 	m := 800 // fully skewed: output is m², keep it small
 	p := 16
 	db := data.SkewedStarDatabase(rng, 2, m, 1<<20, map[int64]int{7: m})
-	vanilla := core.Run(q, db, p, 3, core.SkewFree)
-	gen := RunGeneric(q, db, p, 3, 16)
+	vanilla := runHyperCube(q, db, p, 3)
+	gen := runGeneric(q, db, p, 3, 16)
 	if !data.Equal(vanilla.Output, gen.Output) {
 		t.Fatal("outputs differ")
 	}

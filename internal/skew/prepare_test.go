@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mpcquery/internal/data"
+	"mpcquery/internal/engine"
 	"mpcquery/internal/query"
 )
 
@@ -77,57 +78,62 @@ func TestGenericRouteIndexMatchesBruteForce(t *testing.T) {
 }
 
 // TestPreparedRunsMatchUnprepared asserts the prepare/execute split is pure
-// refactoring: running a prepared plan twice and the one-shot entry points
-// produce identical results, and a prepared plan is reusable.
+// refactoring: a plan prepared once and reused across seeds produces, seed
+// for seed, exactly the result of a fresh Prepare* per run — preparation
+// holds no seed-dependent state.
 func TestPreparedRunsMatchUnprepared(t *testing.T) {
 	n := int64(1 << 16)
 	rng := rand.New(rand.NewSource(3))
+	same := func(a, b *Result) bool {
+		return a.MaxLoadBits == b.MaxLoadBits && a.TotalBits == b.TotalBits && a.Aborted == b.Aborted &&
+			a.ServersUsed == b.ServersUsed && a.HeavyHitters == b.HeavyHitters && data.Equal(a.Output, b.Output)
+	}
+	seeds := []int64{5, 6, 7}
 
 	star := query.Star(2)
 	starDB := data.SkewedStarDatabase(rng, 2, 500, n, map[int64]int{7: 60, 9: 40})
 	sp := PrepareStar(star, starDB, 16)
-	a := RunStarPlanned(sp, star, starDB, 16, 5, 0)
-	b := RunStarPlanned(sp, star, starDB, 16, 5, 0)
-	c := RunStarCap(star, starDB, 16, 5, 0)
-	if a.MaxLoadBits != c.MaxLoadBits || a.TotalBits != c.TotalBits || !data.EqualMultiset(a.Output, c.Output) {
-		t.Error("star: prepared run differs from one-shot run")
-	}
-	if b.MaxLoadBits != a.MaxLoadBits || !data.EqualMultiset(a.Output, b.Output) {
-		t.Error("star: prepared plan not reusable")
-	}
-	if sp.HeavyHitters() != a.HeavyHitters || sp.ServersUsed() != a.ServersUsed {
-		t.Errorf("star plan accessors disagree with the run: %d/%d vs %d/%d",
-			sp.HeavyHitters(), sp.ServersUsed(), a.HeavyHitters, a.ServersUsed)
+	for _, seed := range seeds {
+		reused := RunStar(sp, star, starDB, 16, seed, engine.Env{})
+		if !same(reused, runStar(star, starDB, 16, seed)) {
+			t.Errorf("star seed %d: reused plan differs from a fresh one", seed)
+		}
+		if sp.HeavyHitters() != reused.HeavyHitters || sp.ServersUsed() != reused.ServersUsed {
+			t.Errorf("star plan accessors disagree with the run: %d/%d vs %d/%d",
+				sp.HeavyHitters(), sp.ServersUsed(), reused.HeavyHitters, reused.ServersUsed)
+		}
 	}
 
 	tri := query.Triangle()
 	triDB := data.SkewedTriangleDatabase(rng, 500, n, 7, 60)
 	tp := PrepareTriangle(tri, triDB, 16)
-	ta := RunTrianglePlanned(tp, tri, triDB, 16, 5, 0)
-	tc := RunTriangleCap(tri, triDB, 16, 5, 0)
-	if ta.MaxLoadBits != tc.MaxLoadBits || ta.TotalBits != tc.TotalBits || !data.EqualMultiset(ta.Output, tc.Output) {
-		t.Error("triangle: prepared run differs from one-shot run")
-	}
-	if tp.HeavyHitters() != ta.HeavyHitters || tp.ServersUsed() != ta.ServersUsed {
-		t.Error("triangle plan accessors disagree with the run")
+	for _, seed := range seeds {
+		reused := RunTriangle(tp, tri, triDB, 16, seed, engine.Env{})
+		if !same(reused, runTriangle(tri, triDB, 16, seed)) {
+			t.Errorf("triangle seed %d: reused plan differs from a fresh one", seed)
+		}
+		if tp.HeavyHitters() != reused.HeavyHitters || tp.ServersUsed() != reused.ServersUsed {
+			t.Error("triangle plan accessors disagree with the run")
+		}
 	}
 
 	genDB := skewedTriDB(11, 400, n, 3, 30)
 	gp := PrepareGeneric(tri, genDB, 16, 6)
-	ga := RunGenericPlanned(gp, tri, genDB, 16, 5, 0)
-	gc := RunGenericCap(tri, genDB, 16, 5, 6, 0)
-	if ga.MaxLoadBits != gc.MaxLoadBits || ga.TotalBits != gc.TotalBits || !data.EqualMultiset(ga.Output, gc.Output) {
-		t.Error("generic: prepared run differs from one-shot run")
-	}
-	if gp.NumPatterns() < 2 || gp.HeavyHitters() != ga.HeavyHitters {
-		t.Errorf("generic plan accessors look wrong: %d patterns, %d heavy", gp.NumPatterns(), gp.HeavyHitters())
+	for _, seed := range seeds {
+		reused := RunGeneric(gp, tri, genDB, 16, seed, engine.Env{})
+		if !same(reused, runGeneric(tri, genDB, 16, seed, 6)) {
+			t.Errorf("generic seed %d: reused plan differs from a fresh one", seed)
+		}
+		if gp.NumPatterns() < 2 || gp.HeavyHitters() != reused.HeavyHitters {
+			t.Errorf("generic plan accessors look wrong: %d patterns, %d heavy", gp.NumPatterns(), gp.HeavyHitters())
+		}
 	}
 }
 
 // TestAddStatsChargesAccounting asserts the cached-vs-charged seam: merging
 // a StatsResult must add its round and bits, take the load max, recompute
-// replication, and join the abort flag — exactly what RunStarSampledCap does
-// inline.
+// replication, and join the abort flag — exactly what runStarSampled (and
+// the sampled-star strategy) does after the data round.
 func TestAddStatsChargesAccounting(t *testing.T) {
 	res := &Result{Rounds: 1, MaxLoadBits: 100, TotalBits: 1000, InputBits: 500}
 	st := &StatsResult{Rounds: 1, MaxLoadBits: 250, TotalBits: 300, Aborted: true}

@@ -8,6 +8,7 @@ import (
 	"mpcquery/internal/bounds"
 	"mpcquery/internal/core"
 	"mpcquery/internal/data"
+	"mpcquery/internal/engine"
 	"mpcquery/internal/query"
 )
 
@@ -15,7 +16,7 @@ func TestStarNoSkewMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	q := query.Star(3)
 	db := data.MatchingDatabase(rng, q, 400, 1<<20)
-	res := RunStar(q, db, 16, 99)
+	res := runStar(q, db, 16, 99)
 	want := core.SequentialAnswer(q, db)
 	if !data.Equal(res.Output, want) {
 		t.Fatalf("no-skew star: got %d want %d tuples", res.Output.NumTuples(), want.NumTuples())
@@ -34,7 +35,7 @@ func TestSimpleJoinFullSkewCorrect(t *testing.T) {
 	q := query.Star(2)
 	m := 500
 	db := data.SkewedStarDatabase(rng, 2, m, 1<<20, map[int64]int{7: m})
-	res := RunStar(q, db, 16, 5)
+	res := runStar(q, db, 16, 5)
 	want := core.SequentialAnswer(q, db)
 	if want.NumTuples() != m*m {
 		t.Fatalf("worst case should produce m² = %d outputs, got %d", m*m, want.NumTuples())
@@ -60,9 +61,9 @@ func TestSimpleJoinSkewSeparation(t *testing.T) {
 	zi := q.VarIndex("z")
 	shares := []int{1, 1, 1}
 	shares[zi] = p
-	naive := core.RunWithShares(q, db, shares, 5)
+	naive := core.RunPlan(core.SharesPlan(q, db, shares), db, 5, nil, engine.Env{})
 
-	aware := RunStar(q, db, p, 5)
+	aware := runStar(q, db, p, 5)
 	if !data.Equal(naive.Output, aware.Output) {
 		t.Fatal("outputs differ")
 	}
@@ -81,7 +82,7 @@ func TestStarMixedSkewCorrect(t *testing.T) {
 	heavy := map[int64]int{3: 60, 11: 40} // output grows as Σ count³
 
 	db := data.SkewedStarDatabase(rng, 3, m, 1<<20, heavy)
-	res := RunStar(q, db, 27, 17)
+	res := runStar(q, db, 27, 17)
 	want := core.SequentialAnswer(q, db)
 	if !data.Equal(res.Output, want) {
 		t.Fatalf("mixed star: got %d want %d", res.Output.NumTuples(), want.NumTuples())
@@ -95,7 +96,7 @@ func TestStarNoDuplicates(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	q := query.Star(2)
 	db := data.SkewedStarDatabase(rng, 2, 300, 1<<20, map[int64]int{9: 100})
-	res := RunStar(q, db, 8, 23)
+	res := runStar(q, db, 8, 23)
 	if res.Output.NumTuples() != res.Output.Canonical().NumTuples() {
 		t.Errorf("output has duplicates: %d vs %d distinct",
 			res.Output.NumTuples(), res.Output.Canonical().NumTuples())
@@ -115,7 +116,7 @@ func TestStarRandomized(t *testing.T) {
 		q := query.Star(k)
 		db := data.SkewedStarDatabase(r, k, m, 1<<20, heavy)
 		p := []int{4, 8, 16, 27}[r.Intn(4)]
-		res := RunStar(q, db, p, seed)
+		res := runStar(q, db, p, seed)
 		return data.Equal(res.Output, core.SequentialAnswer(q, db))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25, Rand: rng}); err != nil {
@@ -127,7 +128,7 @@ func TestTriangleNoSkewMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	q := query.Triangle()
 	db := data.MatchingDatabase(rng, q, 500, 1<<20)
-	res := RunTriangle(q, db, 27, 3)
+	res := runTriangle(q, db, 27, 3)
 	want := core.SequentialAnswer(q, db)
 	if !data.Equal(res.Output, want) {
 		t.Fatalf("no-skew triangle: got %d want %d", res.Output.NumTuples(), want.NumTuples())
@@ -142,7 +143,7 @@ func TestTriangleOneHeavyCorrect(t *testing.T) {
 	q := query.Triangle()
 	m := 600
 	db := data.SkewedTriangleDatabase(rng, m, 1<<20, 5, 200)
-	res := RunTriangle(q, db, 27, 13)
+	res := runTriangle(q, db, 27, 13)
 	want := core.SequentialAnswer(q, db)
 	if !data.Equal(res.Output, want) {
 		t.Fatalf("one-heavy triangle: got %d want %d", res.Output.NumTuples(), want.NumTuples())
@@ -153,7 +154,7 @@ func TestTriangleNoDuplicates(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	q := query.Triangle()
 	db := data.SkewedTriangleDatabase(rng, 400, 1<<20, 5, 150)
-	res := RunTriangle(q, db, 27, 7)
+	res := runTriangle(q, db, 27, 7)
 	if res.Output.NumTuples() != res.Output.Canonical().NumTuples() {
 		t.Errorf("duplicates: %d vs %d distinct",
 			res.Output.NumTuples(), res.Output.Canonical().NumTuples())
@@ -173,7 +174,7 @@ func TestTriangleDensePlusHeavy(t *testing.T) {
 		}
 		db.Add(rel)
 	}
-	res := RunTriangle(q, db, 27, 11)
+	res := runTriangle(q, db, 27, 11)
 	want := core.SequentialAnswer(q, db)
 	// Dense random data yields duplicate input tuples, so compare as sets.
 	if !data.Equal(res.Output, want) {
@@ -191,7 +192,7 @@ func TestTriangleRandomized(t *testing.T) {
 		heavyCount := r.Intn(m / 2)
 		db := data.SkewedTriangleDatabase(r, m, 1<<20, int64(r.Intn(10)), heavyCount)
 		p := []int{8, 27, 64}[r.Intn(3)]
-		res := RunTriangle(q, db, p, seed)
+		res := runTriangle(q, db, p, seed)
 		return data.Equal(res.Output, core.SequentialAnswer(q, db))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20, Rand: rng}); err != nil {
@@ -208,8 +209,8 @@ func TestTriangleSkewSeparation(t *testing.T) {
 	m := 4000
 	p := 64
 	db := data.SkewedTriangleDatabase(rng, m, 1<<22, 5, m/2)
-	vanilla := core.Run(q, db, p, 3, core.SkewFree)
-	aware := RunTriangle(q, db, p, 3)
+	vanilla := runHyperCube(q, db, p, 3)
+	aware := runTriangle(q, db, p, 3)
 	if !data.Equal(vanilla.Output, aware.Output) {
 		t.Fatal("outputs differ")
 	}
@@ -253,11 +254,11 @@ func TestDetectHeavyHittersMPC(t *testing.T) {
 			rel.Append(other[i], other[(i+1)%m])
 		}
 	}
-	st := DetectHeavyHittersMPC(rel, 0, 16, 100, 20, 3)
+	st := StatsSpec{Rels: []*data.Relation{rel}, Cols: []int{0}, Thresholds: []int{20}}.Run(16, 100, 3, 0)
 	if st.Rounds != 1 {
 		t.Errorf("rounds=%d want 1", st.Rounds)
 	}
-	est := st.Estimates[7]
+	est := st.PerAtom[0][7]
 	if est < 500 || est > 2000 {
 		t.Errorf("estimate for heavy value=%d want ≈1000", est)
 	}
@@ -273,7 +274,7 @@ func TestRunStarSampledCorrect(t *testing.T) {
 	q := query.Star(2)
 	m := 1000
 	db := data.SkewedStarDatabase(rng, 2, m, 1<<20, map[int64]int{7: m / 2})
-	res := RunStarSampled(q, db, 16, 9, 100)
+	res := runStarSampled(q, db, 16, 9, 100)
 	want := core.SequentialAnswer(q, db)
 	if !data.Equal(res.Output, want) {
 		t.Fatalf("sampled star: got %d want %d", res.Output.NumTuples(), want.NumTuples())
@@ -291,8 +292,8 @@ func TestRunStarSampledLoadNearExact(t *testing.T) {
 	q := query.Star(2)
 	m := 1200
 	db := data.SkewedStarDatabase(rng, 2, m, 1<<20, map[int64]int{7: m})
-	exact := RunStar(q, db, 16, 9)
-	sampled := RunStarSampled(q, db, 16, 9, 200)
+	exact := runStar(q, db, 16, 9)
+	sampled := runStarSampled(q, db, 16, 9, 200)
 	if !data.Equal(exact.Output, sampled.Output) {
 		t.Fatal("outputs differ")
 	}
@@ -310,7 +311,7 @@ func TestTriangleMeasuredAboveGeneralLB(t *testing.T) {
 	m := 3000
 	p := 64
 	db := data.SkewedTriangleDatabase(rng, m, 1<<20, 5, m/2)
-	aware := RunTriangle(q, db, p, 3)
+	aware := runTriangle(q, db, p, 3)
 
 	// x1-statistics in bits for S1 (col 0) and S3 (col 1); S2 has no x1.
 	bits := make([]map[int64]float64, 3)
@@ -323,4 +324,34 @@ func TestTriangleMeasuredAboveGeneralLB(t *testing.T) {
 	if aware.MaxLoadBits < lb/8 { // paper constant is min_j (a_j−d_j)/(4a_j) = 1/8
 		t.Errorf("measured %v below the Theorem 4.4 bound %v", aware.MaxLoadBits, lb)
 	}
+}
+
+// runStar, runTriangle and runGeneric prepare a fresh plan and run it in
+// process with no load cap.
+func runStar(q *query.Query, db *data.Database, p int, seed int64) *Result {
+	return RunStar(PrepareStar(q, db, p), q, db, p, seed, engine.Env{})
+}
+
+func runTriangle(q *query.Query, db *data.Database, p int, seed int64) *Result {
+	return RunTriangle(PrepareTriangle(q, db, p), q, db, p, seed, engine.Env{})
+}
+
+func runGeneric(q *query.Query, db *data.Database, p int, seed int64, maxHeavyPerVar int) *Result {
+	return RunGeneric(PrepareGeneric(q, db, p, maxHeavyPerVar), q, db, p, seed, engine.Env{})
+}
+
+// runStarSampled runs the star algorithm end to end without a statistics
+// oracle, as the sampled-star strategy does: the sampling round estimates
+// the z-frequencies, the data round uses them, and the statistics round is
+// charged to the result.
+func runStarSampled(q *query.Query, db *data.Database, p int, seed int64, sampleSize int) *Result {
+	st := StarStatsSpec(q, db, p).Run(p, sampleSize, seed, 0)
+	res := RunStar(PrepareStarWithFrequencies(q, db, p, st.PerAtom), q, db, p, seed, engine.Env{})
+	AddStatsCharges(res, st)
+	return res
+}
+
+// runHyperCube runs the vanilla one-round HyperCube with LP-optimal shares.
+func runHyperCube(q *query.Query, db *data.Database, p int, seed int64) *core.Result {
+	return core.RunPlan(core.PlanForDatabase(q, db, p, core.SkewFree), db, seed, nil, engine.Env{})
 }

@@ -36,7 +36,7 @@ type Result struct {
 	InputBits       float64
 	ReplicationRate float64
 	HeavyHitters    int
-	Aborted         bool // a declared load cap (capBits > 0) was exceeded
+	Aborted         bool // the declared load cap (engine.Env.LoadCapBits) was exceeded
 
 	// Wall-clock split of the simulation (not model costs): seconds spent
 	// in local computation vs simulated communication delivery.
@@ -44,38 +44,10 @@ type Result struct {
 	CommSeconds    float64
 }
 
-// RunStar computes the star query T_k (atoms S_j(z, x_j)) on db with a
-// budget of p servers, treating as heavy every z-value with frequency
-// ≥ m_j/p in some relation (the paper's threshold).
-//
-// Server layout: servers [0, p) hash light tuples on z; each heavy hitter h
-// gets a dedicated block of p_h servers after that, with Σ_h p_h ≈ p
-// allocated proportionally to Σ_{∅≠I⊆[ℓ]} Π_{j∈I} M_j(h) (the paper's
-// per-packing allocation, summed over the packing vertices {0,1}^ℓ\0).
-func RunStar(q *query.Query, db *data.Database, p int, seed int64) *Result {
-	return RunStarCap(q, db, p, seed, 0)
-}
-
-// RunStarCap is RunStar with a declared per-round load cap in bits
-// (Section 2.1's abort semantics); 0 means no cap.
-func RunStarCap(q *query.Query, db *data.Database, p int, seed int64, capBits float64) *Result {
-	return RunStarPlanned(PrepareStar(q, db, p), q, db, p, seed, capBits)
-}
-
-// RunStarWithFrequencies is RunStar with explicit z-frequency statistics,
-// exact or estimated (e.g. from the sampling protocol of
-// DetectHeavyHittersMPC). Statistics only drive heavy-hitter selection and
-// server allocation; correctness never depends on their accuracy, so
-// sampled estimates are safe — bad estimates only cost load. capBits > 0
-// declares a per-round load cap (0 = none).
-func RunStarWithFrequencies(q *query.Query, db *data.Database, p int, seed int64, freqs []map[int64]int, capBits float64) *Result {
-	return RunStarPlanned(PrepareStarWithFrequencies(q, db, p, freqs), q, db, p, seed, capBits)
-}
-
 // StarPlan is the reusable, seed-independent part of a star-query run: the
 // heavy-hitter set and the per-heavy-hitter server blocks with their
 // residual-share grids, derived from frequency statistics. A StarPlan is
-// immutable after preparation and safe for concurrent RunStarPlanned calls,
+// immutable after preparation and safe for concurrent RunStar calls,
 // so a service can prepare it once per (query shape, database) and replay it
 // for every arriving query.
 type StarPlan struct {
@@ -103,7 +75,10 @@ func PrepareStar(q *query.Query, db *data.Database, p int) *StarPlan {
 }
 
 // PrepareStarWithFrequencies computes the star layout from explicit
-// (exact or estimated) z-frequency statistics.
+// (exact or estimated) z-frequency statistics. Statistics only drive
+// heavy-hitter selection and server allocation; correctness never depends
+// on their accuracy, so sampled estimates are safe — bad estimates only
+// cost load.
 func PrepareStarWithFrequencies(q *query.Query, db *data.Database, p int, freqs []map[int64]int) *StarPlan {
 	k := q.NumAtoms()
 	zName := q.Atoms[0].Vars[0]
@@ -181,27 +156,28 @@ func PrepareStarWithFrequencies(q *query.Query, db *data.Database, p int, freqs 
 	return &StarPlan{zCols: zCols, heavy: heavy, blocks: blocks, totalServers: offset}
 }
 
-// RunStarPlanned executes the star algorithm's data round under a prepared
-// layout: routing, local evaluation and metering, with the statistics phase
-// already paid for (or cached) by the caller. Running a prepared plan is
-// bit-identical to the unprepared path — preparation only moves work, never
-// accounting.
-func RunStarPlanned(sp *StarPlan, q *query.Query, db *data.Database, p int, seed int64, capBits float64) *Result {
-	return RunStarPlannedNet(sp, q, db, p, seed, capBits, engine.Env{})
-}
-
-// RunStarPlannedNet is RunStarPlanned with round delivery through net (nil
-// = in-process).
-func RunStarPlannedNet(sp *StarPlan, q *query.Query, db *data.Database, p int, seed int64, capBits float64, env engine.Env) *Result {
+// RunStar computes the star query T_k (atoms S_j(z, x_j)) on db with a
+// budget of p servers under a prepared layout (PrepareStar treats as heavy
+// every z-value with frequency ≥ m_j/p in some relation, the paper's
+// threshold; PrepareStarWithFrequencies takes sampled estimates), with
+// every round delivered and metered through env.
+//
+// Server layout: servers [0, p) hash light tuples on z; each heavy hitter h
+// gets a dedicated block of p_h servers after that, with Σ_h p_h ≈ p
+// allocated proportionally to Σ_{∅≠I⊆[ℓ]} Π_{j∈I} M_j(h) (the paper's
+// per-packing allocation, summed over the packing vertices {0,1}^ℓ\0).
+//
+// This is the data round alone: routing, local evaluation and metering,
+// with the statistics phase already paid for (or cached) by the caller.
+// Preparation only moves work, never accounting, so a plan reused across
+// runs is bit-identical to a fresh one.
+func RunStar(sp *StarPlan, q *query.Query, db *data.Database, p int, seed int64, env engine.Env) *Result {
 	k := q.NumAtoms()
 	zCols, blocks, totalServers := sp.zCols, sp.blocks, sp.totalServers
 	bpv := data.BitsPerValue(db.N)
 
 	cluster := engine.NewClusterEnv(env, totalServers, bpv)
 	defer cluster.Release()
-	if capBits > 0 {
-		cluster.SetLoadCap(capBits)
-	}
 	for j, a := range q.Atoms {
 		rel := db.Get(a.Name)
 		m := rel.NumTuples()

@@ -11,12 +11,8 @@ import (
 // StatsResult reports the one-round distributed statistics protocol.
 type StatsResult struct {
 	// PerAtom holds one value → estimated-global-frequency map per
-	// (relation, column) pair handed to DetectHeavyHittersMPCMulti, in input
-	// order.
-	PerAtom []map[int64]int
-	// Estimates is PerAtom[0] — the single-relation convenience view used by
-	// DetectHeavyHittersMPC.
-	Estimates   map[int64]int
+	// (relation, column) pair of the StatsSpec, in spec order.
+	PerAtom     []map[int64]int
 	MaxLoadBits float64 // max bits any server received in the statistics round
 	TotalBits   float64 // total bits communicated by the statistics round
 	Rounds      int     // always 1: the protocol is one genuine MPC round
@@ -28,16 +24,46 @@ type StatsResult struct {
 // that upper-bounds ⌈log₂ n⌉ for any int64 domain.
 const statsBitsPerValue = 64
 
-// DetectHeavyHittersMPC estimates per-value frequencies of one relation
-// column with a one-round MPC protocol; see DetectHeavyHittersMPCMulti for
-// the protocol. It remains as the single-relation entry point.
-func DetectHeavyHittersMPC(rel *data.Relation, col, p int, sampleSize int, candidateThreshold int, seed int64) *StatsResult {
-	return DetectHeavyHittersMPCMulti([]*data.Relation{rel}, []int{col}, p,
-		sampleSize, []int{candidateThreshold}, seed, 0)
+// StatsSpec pins down one invocation of the sampling protocol: the relation
+// columns to profile and the per-relation candidate thresholds. It exists so
+// a caching layer can derive the exact same protocol inputs as the inline
+// path and replay (or skip) the round deterministically.
+type StatsSpec struct {
+	Rels       []*data.Relation
+	Cols       []int
+	Thresholds []int
 }
 
-// DetectHeavyHittersMPCMulti estimates per-value frequencies of ℓ relation
-// columns in ONE MPC round on a single cluster, making executable the
+// StarStatsSpec returns the spec for the sampled star algorithm: every
+// atom's z-column, with the conservative m_j/(4p) candidate cut.
+func StarStatsSpec(q *query.Query, db *data.Database, p int) StatsSpec {
+	zName := q.Atoms[0].Vars[0]
+	l := q.NumAtoms()
+	spec := StatsSpec{
+		Rels:       make([]*data.Relation, l),
+		Cols:       make([]int, l),
+		Thresholds: make([]int, l),
+	}
+	for j, a := range q.Atoms {
+		spec.Rels[j] = db.Get(a.Name)
+		spec.Cols[j] = colOf(a, zName)
+		thr := spec.Rels[j].NumTuples() / (4 * p) // conservative candidate cut
+		if thr < 2 {
+			thr = 2
+		}
+		spec.Thresholds[j] = thr
+	}
+	return spec
+}
+
+// Run is RunNet in process under a declared load cap in bits (0 = none).
+func (spec StatsSpec) Run(p, sampleSize int, seed int64, capBits float64) *StatsResult {
+	return spec.RunNet(p, sampleSize, seed, engine.Env{LoadCapBits: capBits})
+}
+
+// RunNet estimates the per-value frequencies of the spec's ℓ relation
+// columns in ONE MPC round on a single cluster, delivered and metered
+// through env (its load cap applies to the round), making executable the
 // paper's remark that heavy-hitter statistics "can be easily obtained in
 // advance from small samples of the input" (Section 1):
 //
@@ -46,7 +72,7 @@ func DetectHeavyHittersMPC(rel *data.Relation, col, p int, sampleSize int, candi
 //   - each server samples up to sampleSize of its local tuples per
 //     relation, counts the sampled values, scales to its partition size,
 //     and broadcasts every candidate whose scaled estimate reaches that
-//     relation's candidateThreshold, tagged with the atom's kind;
+//     relation's candidate threshold, tagged with the atom's kind;
 //   - every server sums the broadcast estimates per atom, so afterwards all
 //     servers agree on the (approximate) statistics, as the model assumes.
 //
@@ -58,23 +84,14 @@ func DetectHeavyHittersMPC(rel *data.Relation, col, p int, sampleSize int, candi
 // true candidates per relation and server, keeping the statistics round's
 // load well below the data rounds'.
 //
-// capBits > 0 declares a load cap for the round (0 = none).
-func DetectHeavyHittersMPCMulti(rels []*data.Relation, cols []int, p, sampleSize int,
-	candidateThresholds []int, seed int64, capBits float64) *StatsResult {
-	return DetectHeavyHittersMPCMultiNet(rels, cols, p, sampleSize, candidateThresholds, seed, capBits, engine.Env{})
-}
-
-// DetectHeavyHittersMPCMultiNet is DetectHeavyHittersMPCMulti with round
-// delivery through net (nil = in-process) — the sampling round's broadcast
-// traffic crosses the wire like any data round.
-func DetectHeavyHittersMPCMultiNet(rels []*data.Relation, cols []int, p, sampleSize int,
-	candidateThresholds []int, seed int64, capBits float64, env engine.Env) *StatsResult {
+// The result is deterministic in (spec, p, sampleSize, seed, cap), which is
+// what makes it cacheable: replaying a cached StatsResult and re-running
+// the protocol yield identical estimates and identical bit charges.
+func (spec StatsSpec) RunNet(p, sampleSize int, seed int64, env engine.Env) *StatsResult {
+	rels, cols, candidateThresholds := spec.Rels, spec.Cols, spec.Thresholds
 	l := len(rels)
 	cluster := engine.NewClusterEnv(env, p, statsBitsPerValue)
 	defer cluster.Release()
-	if capBits > 0 {
-		cluster.SetLoadCap(capBits)
-	}
 	for j, rel := range rels {
 		m := rel.NumTuples()
 		for i := 0; i < m; i++ {
@@ -143,79 +160,11 @@ func DetectHeavyHittersMPCMultiNet(rels []*data.Relation, cols []int, p, sampleS
 	})
 	return &StatsResult{
 		PerAtom:     perAtom,
-		Estimates:   perAtom[0],
 		MaxLoadBits: st.MaxRecvBits,
 		TotalBits:   st.TotalRecvBits,
 		Rounds:      cluster.NumRounds(),
 		Aborted:     cluster.Aborted(),
 	}
-}
-
-// RunStarSampled runs the star algorithm end to end without a statistics
-// oracle: a first round gathers sampled z-frequencies for all ℓ atoms with
-// DetectHeavyHittersMPCMulti, and the data round uses the estimates. Output
-// correctness is unconditional; only the load depends on estimate quality.
-//
-// The accounting is honest about both cost dimensions: the statistics
-// protocol executes as one genuine round (Rounds = 1 + data rounds), its
-// communication is included in TotalBits, and MaxLoadBits is the maximum
-// over the statistics and data rounds.
-func RunStarSampled(q *query.Query, db *data.Database, p int, seed int64, sampleSize int) *Result {
-	return RunStarSampledCap(q, db, p, seed, sampleSize, 0)
-}
-
-// RunStarSampledCap is RunStarSampled with a declared per-round load cap in
-// bits (0 = none); the cap applies to the statistics round too.
-func RunStarSampledCap(q *query.Query, db *data.Database, p int, seed int64, sampleSize int, capBits float64) *Result {
-	st := StarStatsSpec(q, db, p).Run(p, sampleSize, seed, capBits)
-	res := RunStarWithFrequencies(q, db, p, seed, st.PerAtom, capBits)
-	AddStatsCharges(res, st)
-	return res
-}
-
-// StatsSpec pins down one invocation of the sampling protocol: the relation
-// columns to profile and the per-relation candidate thresholds. It exists so
-// a caching layer can derive the exact same protocol inputs as the inline
-// path and replay (or skip) the round deterministically.
-type StatsSpec struct {
-	Rels       []*data.Relation
-	Cols       []int
-	Thresholds []int
-}
-
-// StarStatsSpec returns the spec RunStarSampled uses for a star query: every
-// atom's z-column, with the conservative m_j/(4p) candidate cut.
-func StarStatsSpec(q *query.Query, db *data.Database, p int) StatsSpec {
-	zName := q.Atoms[0].Vars[0]
-	l := q.NumAtoms()
-	spec := StatsSpec{
-		Rels:       make([]*data.Relation, l),
-		Cols:       make([]int, l),
-		Thresholds: make([]int, l),
-	}
-	for j, a := range q.Atoms {
-		spec.Rels[j] = db.Get(a.Name)
-		spec.Cols[j] = colOf(a, zName)
-		thr := spec.Rels[j].NumTuples() / (4 * p) // conservative candidate cut
-		if thr < 2 {
-			thr = 2
-		}
-		spec.Thresholds[j] = thr
-	}
-	return spec
-}
-
-// Run executes the one-round sampling protocol for the spec. The result is
-// deterministic in (spec, p, sampleSize, seed, capBits), which is what makes
-// it cacheable: replaying a cached StatsResult and re-running the protocol
-// yield identical estimates and identical bit charges.
-func (spec StatsSpec) Run(p, sampleSize int, seed int64, capBits float64) *StatsResult {
-	return spec.RunNet(p, sampleSize, seed, capBits, engine.Env{})
-}
-
-// RunNet is Run with round delivery through net (nil = in-process).
-func (spec StatsSpec) RunNet(p, sampleSize int, seed int64, capBits float64, env engine.Env) *StatsResult {
-	return DetectHeavyHittersMPCMultiNet(spec.Rels, spec.Cols, p, sampleSize, spec.Thresholds, seed, capBits, env)
 }
 
 // AddStatsCharges folds the statistics round's cost into a data-round

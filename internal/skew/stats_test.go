@@ -40,7 +40,7 @@ func TestStatsProtocolIsOneGenuineRound(t *testing.T) {
 	// Exhaustive sampling (sampleSize ≥ local partition) makes candidates
 	// deterministic: every server broadcasts exactly one (7, 100) pair per
 	// atom.
-	st := DetectHeavyHittersMPCMulti(rels, cols, p, m, thr, 3, 0)
+	st := StatsSpec{Rels: rels, Cols: cols, Thresholds: thr}.Run(p, m, 3, 0)
 	if st.Rounds != 1 {
 		t.Fatalf("stats protocol must be one genuine round, got %d", st.Rounds)
 	}
@@ -65,8 +65,8 @@ func TestStatsProtocolIsOneGenuineRound(t *testing.T) {
 	}
 
 	// Cross-check the sum property against the single-atom protocol runs.
-	s1 := DetectHeavyHittersMPC(rels[0], 0, p, m, thr[0], 3)
-	s2 := DetectHeavyHittersMPC(rels[1], 0, p, m, thr[1], 3)
+	s1 := StatsSpec{Rels: rels[:1], Cols: []int{0}, Thresholds: thr[:1]}.Run(p, m, 3, 0)
+	s2 := StatsSpec{Rels: rels[1:2], Cols: []int{0}, Thresholds: thr[1:2]}.Run(p, m, 3, 0)
 	if st.MaxLoadBits != s1.MaxLoadBits+s2.MaxLoadBits {
 		t.Errorf("merged load %v must equal the sum of per-atom loads %v + %v",
 			st.MaxLoadBits, s1.MaxLoadBits, s2.MaxLoadBits)
@@ -82,8 +82,8 @@ func TestRunStarSampledHonestAccounting(t *testing.T) {
 	db := fullySkewedStar(2, m)
 	q := query.Star(2)
 
-	res := RunStarSampled(q, db, p, 3, m)
-	oracle := RunStar(q, db, p, 3)
+	res := runStarSampled(q, db, p, 3, m)
+	oracle := runStar(q, db, p, 3)
 
 	if res.Rounds != oracle.Rounds+1 {
 		t.Errorf("rounds=%d want %d (stats + data)", res.Rounds, oracle.Rounds+1)
@@ -118,7 +118,7 @@ func TestRunStarSampledHeavyDetected(t *testing.T) {
 	const m, p = 400, 4
 	db := fullySkewedStar(2, m)
 	q := query.Star(2)
-	res := RunStarSampled(q, db, p, 3, m)
+	res := runStarSampled(q, db, p, 3, m)
 	if res.HeavyHitters != 1 {
 		t.Errorf("heavy hitters=%d want 1 (z=7)", res.HeavyHitters)
 	}

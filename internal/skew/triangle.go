@@ -37,22 +37,10 @@ type triVar struct {
 	cols [2]int
 }
 
-// RunTriangle computes C3 over db with a budget of p servers.
-// q must be query.Triangle() (atoms S1(x1,x2), S2(x2,x3), S3(x3,x1)).
-func RunTriangle(q *query.Query, db *data.Database, p int, seed int64) *Result {
-	return RunTriangleCap(q, db, p, seed, 0)
-}
-
-// RunTriangleCap is RunTriangle with a declared per-round load cap in bits
-// (Section 2.1's abort semantics); 0 means no cap.
-func RunTriangleCap(q *query.Query, db *data.Database, p int, seed int64, capBits float64) *Result {
-	return RunTrianglePlanned(PrepareTriangle(q, db, p), q, db, p, seed, capBits)
-}
-
 // TrianglePlan is the reusable, seed-independent part of a triangle run:
 // per-variable frequency and heavy-hitter classifications plus the full
 // server layout (light grid, case-1 groups, case-2 pivot blocks). It is
-// immutable after preparation and safe for concurrent RunTrianglePlanned
+// immutable after preparation and safe for concurrent RunTriangle
 // calls, so a service can compute it once per database and replay it.
 type TrianglePlan struct {
 	pHeavy    []map[int64]bool
@@ -136,16 +124,12 @@ func PrepareTriangle(q *query.Query, db *data.Database, p int) *TrianglePlan {
 	}
 }
 
-// RunTrianglePlanned executes the triangle data round under a prepared
-// layout; see RunStarPlanned for the caching contract (bit-identical to the
-// unprepared path).
-func RunTrianglePlanned(tp *TrianglePlan, q *query.Query, db *data.Database, p int, seed int64, capBits float64) *Result {
-	return RunTrianglePlannedNet(tp, q, db, p, seed, capBits, engine.Env{})
-}
-
-// RunTrianglePlannedNet is RunTrianglePlanned with round delivery through
-// net (nil = in-process).
-func RunTrianglePlannedNet(tp *TrianglePlan, q *query.Query, db *data.Database, p int, seed int64, capBits float64, env engine.Env) *Result {
+// RunTriangle computes C3 over db with a budget of p servers under a
+// prepared layout, with every round delivered and metered through env.
+// q must be query.Triangle() (atoms S1(x1,x2), S2(x2,x3), S3(x3,x1)); see
+// RunStar for the caching contract (a reused plan is bit-identical to a
+// fresh one).
+func RunTriangle(tp *TrianglePlan, q *query.Query, db *data.Database, p int, seed int64, env engine.Env) *Result {
 	vars := q.Vars()
 	pHeavy, cubeHeavy, layout := tp.pHeavy, tp.cubeHeavy, tp.layout
 	rels := make([]*data.Relation, 3)
@@ -156,9 +140,6 @@ func RunTrianglePlannedNet(tp *TrianglePlan, q *query.Query, db *data.Database, 
 	bpv := data.BitsPerValue(db.N)
 	cluster := engine.NewClusterEnv(env, layout.totalServers, bpv)
 	defer cluster.Release()
-	if capBits > 0 {
-		cluster.SetLoadCap(capBits)
-	}
 	for j := range rels {
 		m := rels[j].NumTuples()
 		for i := 0; i < m; i++ {

@@ -36,9 +36,6 @@
 //	rep, err := mpcquery.Run(q, db, mpcquery.WithServers(64), mpcquery.WithSeed(42))
 //	if err != nil { ... }
 //	fmt.Println(rep.MaxLoadBits) // ≈ M/p^{2/3}
-//
-// The pre-Run free functions (RunHyperCube, RunSkewedStar, ExecutePlan, …)
-// remain as thin deprecated wrappers; new code should go through Run.
 package mpcquery
 
 import (
@@ -55,7 +52,6 @@ import (
 	"mpcquery/internal/multiround"
 	"mpcquery/internal/packing"
 	"mpcquery/internal/query"
-	"mpcquery/internal/skew"
 )
 
 // ---- queries ---------------------------------------------------------------
@@ -152,81 +148,19 @@ func PlanHyperCube(q *Query, db *Database, p int) *HyperCubePlan {
 	return core.PlanForDatabase(q, db, p, core.SkewFree)
 }
 
-// RunHyperCube plans and executes the one-round HyperCube algorithm.
-//
-// Deprecated: use Run with WithStrategy(HyperCube()); it returns the
-// unified *Report and an error instead of panicking.
-func RunHyperCube(q *Query, db *Database, p int, seed int64) *HyperCubeResult {
-	return core.Run(q, db, p, seed, core.SkewFree)
-}
-
-// RunHyperCubeOblivious uses the skew-oblivious shares of LP (18).
-//
-// Deprecated: use Run with WithStrategy(HyperCubeOblivious()).
-func RunHyperCubeOblivious(q *Query, db *Database, p int, seed int64) *HyperCubeResult {
-	return core.Run(q, db, p, seed, core.SkewOblivious)
-}
-
-// RunHyperCubeWithShares executes with explicit per-variable integer shares.
-//
-// Deprecated: use Run with WithStrategy(HyperCubeShares(shares...)).
-func RunHyperCubeWithShares(q *Query, db *Database, shares []int, seed int64) *HyperCubeResult {
-	return core.RunWithShares(q, db, shares, seed)
-}
-
 // SequentialAnswer computes q(db) on one node (ground truth).
 func SequentialAnswer(q *Query, db *Database) *Relation {
 	return core.SequentialAnswer(q, db)
 }
 
-// SkewResult reports a skew-aware run.
-type SkewResult = skew.Result
-
-// RunSkewedStar computes a star query with the Section 4.2.1 heavy-hitter
-// algorithm.
-//
-// Deprecated: use Run with WithStrategy(SkewedStar()).
-func RunSkewedStar(q *Query, db *Database, p int, seed int64) *SkewResult {
-	return skew.RunStar(q, db, p, seed)
-}
-
-// RunSkewedTriangle computes C3 with the Section 4.2.2 three-case algorithm.
-//
-// Deprecated: use Run with WithStrategy(SkewedTriangle()).
-func RunSkewedTriangle(q *Query, db *Database, p int, seed int64) *SkewResult {
-	return skew.RunTriangle(q, db, p, seed)
-}
-
 // ---- multi-round ----------------------------------------------------------
 
-// MultiRoundPlan is a tree of one-round subqueries (Section 5.1).
+// MultiRoundPlan is a tree of one-round subqueries (Section 5.1), as held
+// by AdviceOption.Plan.
 type MultiRoundPlan = multiround.Plan
-
-// MultiRoundResult reports an executed plan.
-type MultiRoundResult = multiround.ExecResult
 
 // CCResult reports a connected-components computation.
 type CCResult = multiround.CCResult
-
-// PlanChain builds the ⌈log_kε k⌉-round plan for L_k (Example 5.2).
-//
-// Deprecated: use Run with WithStrategy(ChainPlan(eps)) to build and
-// execute in one call; PlanChain remains for plan inspection.
-func PlanChain(k int, eps float64) *MultiRoundPlan { return multiround.ChainPlan(k, eps) }
-
-// PlanGreedy builds a plan for any connected query at space exponent ε.
-//
-// Deprecated: use Run with WithStrategy(GreedyPlan(eps)) to build and
-// execute in one call; PlanGreedy remains for plan inspection.
-func PlanGreedy(q *Query, eps float64) *MultiRoundPlan { return multiround.GreedyPlan(q, eps) }
-
-// ExecutePlan runs a multi-round plan with p servers per round.
-//
-// Deprecated: use Run with WithStrategy(ChainPlan(eps)) or
-// WithStrategy(GreedyPlan(eps)).
-func ExecutePlan(p *MultiRoundPlan, db *Database, servers int, seed int64) *MultiRoundResult {
-	return multiround.Execute(p, db, servers, seed)
-}
 
 // ConnectedComponentsLabelProp runs min-label propagation (Θ(diameter)
 // rounds).
@@ -329,17 +263,6 @@ func FriedgutCheck(q *Query, w [][]float64, n int, u []float64) (lhs, rhs float6
 // edge cover u (Section 2.4).
 func AGMBound(sizes, u []float64) float64 { return entropy.AGMBound(sizes, u) }
 
-// RunSkewedGeneric computes any connected query in one round with
-// heavy-hitter statistics, the generalized pattern algorithm sketched by
-// the paper's reference [6]. maxHeavyPerVar caps the per-variable heavy
-// sets (values beyond the cap are treated as light, which stays correct).
-//
-// Deprecated: use Run with WithStrategy(SkewedGeneric()) and
-// WithHeavyCap(maxHeavyPerVar).
-func RunSkewedGeneric(q *Query, db *Database, p int, seed int64, maxHeavyPerVar int) *SkewResult {
-	return skew.RunGeneric(q, db, p, seed, maxHeavyPerVar)
-}
-
 // ReadRelationCSV reads a relation from comma-separated integer rows.
 func ReadRelationCSV(r io.Reader, name string, arity int) (*Relation, error) {
 	return data.ReadCSV(r, name, arity)
@@ -382,37 +305,9 @@ func RoundBounds(q *Query, eps float64) (ub, lb int) {
 	return advisor.RoundBounds(q, eps)
 }
 
-// RunSkewedStarSampled runs the star algorithm end to end with statistics
-// gathered by the one-round sampling protocol instead of an oracle.
-//
-// Deprecated: use Run with WithStrategy(SkewedStarSampled(sampleSize)).
-func RunSkewedStarSampled(q *Query, db *Database, p int, seed int64, sampleSize int) *SkewResult {
-	return skew.RunStarSampled(q, db, p, seed, sampleSize)
-}
-
 // DesugarSelfJoins renames repeated relation occurrences apart, returning a
 // self-join-free query plus the new-name → original-name mapping
 // (footnote 2 of the paper).
 func DesugarSelfJoins(name string, atoms []Atom) (*Query, map[string]string) {
 	return core.DesugarSelfJoins(name, atoms)
-}
-
-// RunHyperCubeSelfJoins evaluates a query that may repeat relation names
-// (e.g. paths E(x,y),E(y,z) over one edge relation) with the one-round
-// HyperCube algorithm.
-//
-// Deprecated: use Run(nil, db, WithStrategy(SelfJoin(name, atoms...))).
-func RunHyperCubeSelfJoins(name string, atoms []Atom, db *Database, p int, seed int64) *HyperCubeResult {
-	return core.RunWithSelfJoins(name, atoms, db, p, seed, core.SkewFree)
-}
-
-// ExecutePlanSkewAware runs a multi-round plan with every node computed by
-// the generalized pattern algorithm, containing hotspots in skewed
-// intermediate views (the paper leaves multi-round skew open; this is the
-// engineering answer).
-//
-// Deprecated: use Run with WithStrategy(GreedyPlanSkewAware(eps)) and
-// WithHeavyCap(maxHeavyPerVar).
-func ExecutePlanSkewAware(p *MultiRoundPlan, db *Database, servers int, seed int64, maxHeavyPerVar int) *MultiRoundResult {
-	return multiround.ExecuteSkewAware(p, db, servers, seed, maxHeavyPerVar)
 }

@@ -31,6 +31,10 @@ var (
 	// ErrNoFeasibleStrategy: the Auto strategy found no option within the
 	// round budget.
 	ErrNoFeasibleStrategy = errors.New("no feasible strategy")
+	// ErrDomain: the database declares an empty domain (N < 1), or a
+	// relation the query reads holds a value outside [0, N). Such a value
+	// would be billed at the domain's ⌈log₂ N⌉ bits, below what it carries.
+	ErrDomain = errors.New("value outside the declared domain")
 )
 
 // StrategyError wraps a panic that escaped a strategy, so no panic ever
@@ -118,6 +122,9 @@ func Run(q *Query, db *Database, opts ...RunOption) (rep *Report, err error) {
 			}
 		}
 	}
+	if err := checkDomain(q, db); err != nil {
+		return nil, err
+	}
 
 	if cfg.faults != nil {
 		// Install the fault schedule: a distributed session gets it as its
@@ -129,6 +136,29 @@ func Run(q *Query, db *Database, opts ...RunOption) (rep *Report, err error) {
 		return runSupervised(q, db, strategy, &cfg)
 	}
 	return runOnce(q, db, strategy, &cfg)
+}
+
+// checkDomain returns an ErrDomain error when db's domain is empty or a
+// relation q reads holds a value outside [0, N), in one allocation-free
+// pass. Annotations are not values and are not checked. An atom naming no
+// relation is skipped: a SelfJoin's renamed copies read their original
+// relation, which the first occurrence keeps the name of.
+func checkDomain(q *Query, db *Database) error {
+	if db.N < 1 {
+		return fmt.Errorf("mpcquery: %w: domain size %d", ErrDomain, db.N)
+	}
+	for _, a := range q.Atoms {
+		rel := db.Relations[a.Name]
+		if rel == nil {
+			continue
+		}
+		for _, v := range rel.Vals() {
+			if uint64(v) >= uint64(db.N) {
+				return fmt.Errorf("mpcquery: %w: %q holds %d, outside [0, %d)", ErrDomain, a.Name, v, db.N)
+			}
+		}
+	}
+	return nil
 }
 
 // runOnce executes one attempt of the (already validated) run, with the

@@ -1,6 +1,7 @@
 package mpcquery
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -135,20 +136,57 @@ func TestRunRecoverBoundary(t *testing.T) {
 func TestRunRejectsInvalidConfig(t *testing.T) {
 	q := Triangle()
 	db := MatchingDatabase(rand.New(rand.NewSource(2)), q, 50, 1<<10)
+	// chain2 builds Chain(2)'s relations over a domain of n, one tuple each.
+	chain2 := func(n int64, s1, s2 []int64) *Database {
+		d := NewDatabase(n)
+		r1, r2 := NewRelation("S1", 2), NewRelation("S2", 2)
+		r1.AppendTuple(s1)
+		r2.AppendTuple(s2)
+		d.Add(r1)
+		d.Add(r2)
+		return d
+	}
 	cases := []struct {
 		name string
+		q    *Query
+		db   *Database
 		opts []RunOption
+		want error // nil: any error
 	}{
-		{"zero servers", []RunOption{WithServers(0)}},
-		{"negative stream chunk", []RunOption{WithStreaming(true), WithStreamChunk(-5)}},
-		{"negative stream chunk without streaming", []RunOption{WithStreamChunk(-1)}},
+		{"zero servers", q, db, []RunOption{WithServers(0)}, nil},
+		{"negative stream chunk", q, db, []RunOption{WithStreaming(true), WithStreamChunk(-5)}, nil},
+		{"negative stream chunk without streaming", q, db, []RunOption{WithStreamChunk(-1)}, nil},
+		// Values outside [0, N) would be billed at ⌈log₂ N⌉ bits each.
+		{"values outside the domain", Chain(2), chain2(16, []int64{1 << 40, 3}, []int64{3, -7}), nil, ErrDomain},
+		{"value above the domain", Chain(2), chain2(16, []int64{16, 3}, []int64{3, 7}), nil, ErrDomain},
+		{"negative value", Chain(2), chain2(16, []int64{1, 3}, []int64{3, -1}), nil, ErrDomain},
+		{"empty domain", Chain(2), chain2(0, []int64{0, 0}, []int64{0, 0}), nil, ErrDomain},
+		{"values outside the domain, self-join", nil, chain2(16, []int64{1, 3}, []int64{3, 99}),
+			[]RunOption{WithStrategy(SelfJoin("p", Atom{Name: "S2", Vars: []string{"x", "y"}}, Atom{Name: "S2", Vars: []string{"y", "z"}}))}, ErrDomain},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rep, err := Run(q, db, tc.opts...)
+			rep, err := Run(tc.q, tc.db, tc.opts...)
 			if err == nil || rep != nil {
 				t.Fatalf("Run = (%v, %v), want an error and no report", rep, err)
 			}
+			if tc.want != nil && !errors.Is(err, tc.want) {
+				t.Fatalf("Run error %v, want errors.Is %v", err, tc.want)
+			}
 		})
 	}
+	t.Run("domain edge accepted", func(t *testing.T) {
+		rep, err := Run(Chain(2), chain2(16, []int64{0, 15}, []int64{15, 15}))
+		if err != nil || rep.Output.NumTuples() != 1 {
+			t.Fatalf("Run = (%v, %v), want one output row", rep, err)
+		}
+	})
+	t.Run("service", func(t *testing.T) {
+		svc := NewService()
+		defer svc.Close()
+		_, err := svc.Run(context.Background(), Chain(2), chain2(16, []int64{1 << 40, 3}, []int64{3, -7}))
+		if !errors.Is(err, ErrDomain) {
+			t.Fatalf("Service.Run error %v, want ErrDomain", err)
+		}
+	})
 }

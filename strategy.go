@@ -39,8 +39,19 @@ type ExecContext struct {
 	// env is the execution environment every cluster is created against:
 	// the delivery transport (nil Net = in-process, the default; set by
 	// WithRuntime) and the trace sink (nil Trace = tracing off; set by
-	// WithTrace).
+	// WithTrace). Built-in strategies read it through runEnv, never
+	// directly.
 	env engine.Env
+}
+
+// runEnv is the environment the built-in strategies hand to the internal
+// algorithms: ctx.env with its load cap taken from LoadCapBits, so the
+// exported field stays the one source of the cap for callers that build an
+// ExecContext and invoke Strategy.Execute directly.
+func (ctx ExecContext) runEnv() engine.Env {
+	env := ctx.env
+	env.LoadCapBits = ctx.LoadCapBits
+	return env
 }
 
 // Strategy is one executable point in the paper's rounds/load tradeoff
@@ -104,12 +115,7 @@ func (s hyperCubeStrategy) Execute(ctx ExecContext) (*Report, error) {
 	plan := ctx.cachedPlan(fmt.Sprintf("hc|m%d", s.mode), func() any {
 		return core.PlanForDatabase(ctx.Query, ctx.DB, ctx.Servers, s.mode)
 	}).(*core.Plan)
-	var res *core.Result
-	if ap := ctx.aggregatePlan(); ap != nil {
-		res = core.RunPlanAggregateNet(plan, ctx.DB, ctx.Seed, ctx.LoadCapBits, ap, ctx.env)
-	} else {
-		res = core.RunPlanWithCapNet(plan, ctx.DB, ctx.Seed, ctx.LoadCapBits, ctx.env)
-	}
+	res := core.RunPlan(plan, ctx.DB, ctx.Seed, ctx.aggregatePlan(), ctx.runEnv())
 	rep := reportFromCore(s.Name(), ctx.Query, res)
 	rep.PredictedLoadBits = plan.PredictedLoadBits()
 	return rep, nil
@@ -142,12 +148,7 @@ func (s sharesStrategy) Execute(ctx ExecContext) (*Report, error) {
 			return nil, fmt.Errorf("mpcquery: HyperCubeShares: shares must be ≥ 1, got %v", s.shares)
 		}
 	}
-	var res *core.Result
-	if ap := ctx.aggregatePlan(); ap != nil {
-		res = core.RunWithSharesAggregateNet(ctx.Query, ctx.DB, s.shares, ctx.Seed, ctx.LoadCapBits, ap, ctx.env)
-	} else {
-		res = core.RunWithSharesCapNet(ctx.Query, ctx.DB, s.shares, ctx.Seed, ctx.LoadCapBits, ctx.env)
-	}
+	res := core.RunPlan(core.SharesPlan(ctx.Query, ctx.DB, s.shares), ctx.DB, ctx.Seed, ctx.aggregatePlan(), ctx.runEnv())
 	return reportFromCore(s.Name(), ctx.Query, res), nil
 }
 
@@ -184,7 +185,7 @@ func (s selfJoinStrategy) Execute(ctx ExecContext) (*Report, error) {
 			return nil, fmt.Errorf("mpcquery: SelfJoin: %w: %q", ErrMissingRelation, a.Name)
 		}
 	}
-	res := core.RunWithSelfJoinsCapNet(s.name, s.atoms, ctx.DB, ctx.Servers, ctx.Seed, core.SkewFree, ctx.LoadCapBits, ctx.env)
+	res := core.RunWithSelfJoins(s.name, s.atoms, ctx.DB, ctx.Servers, ctx.Seed, core.SkewFree, ctx.runEnv())
 	rep := reportFromCore(s.Name(), res.Plan.Query, res)
 	rep.PredictedLoadBits = res.Plan.PredictedLoadBits()
 	return rep, nil
@@ -224,6 +225,7 @@ func (s skewedStarStrategy) Execute(ctx ExecContext) (*Report, error) {
 		return nil, fmt.Errorf("mpcquery: %s needs a star query (every atom S_j(z, x_j...) sharing the first variable); got %s",
 			s.Name(), ctx.Query)
 	}
+	env := ctx.runEnv()
 	var res *skew.Result
 	if s.sampled {
 		// The sampling protocol costs a genuine communication round; its
@@ -232,18 +234,18 @@ func (s skewedStarStrategy) Execute(ctx ExecContext) (*Report, error) {
 		// Report — cached vs charged (see execCache).
 		st := ctx.cachedStats(fmt.Sprintf("star-stats|s%d|ss%d|c%g", ctx.Seed, s.sampleSize, ctx.LoadCapBits), func() any {
 			return skew.StarStatsSpec(ctx.Query, ctx.DB, ctx.Servers).
-				RunNet(ctx.Servers, s.sampleSize, ctx.Seed, ctx.LoadCapBits, ctx.env)
+				RunNet(ctx.Servers, s.sampleSize, ctx.Seed, env)
 		}).(*skew.StatsResult)
 		sp := ctx.cachedPlan(fmt.Sprintf("star-sampled|s%d|ss%d", ctx.Seed, s.sampleSize), func() any {
 			return skew.PrepareStarWithFrequencies(ctx.Query, ctx.DB, ctx.Servers, st.PerAtom)
 		}).(*skew.StarPlan)
-		res = skew.RunStarPlannedNet(sp, ctx.Query, ctx.DB, ctx.Servers, ctx.Seed, ctx.LoadCapBits, ctx.env)
+		res = skew.RunStar(sp, ctx.Query, ctx.DB, ctx.Servers, ctx.Seed, env)
 		skew.AddStatsCharges(res, st)
 	} else {
 		sp := ctx.cachedPlan("star", func() any {
 			return skew.PrepareStar(ctx.Query, ctx.DB, ctx.Servers)
 		}).(*skew.StarPlan)
-		res = skew.RunStarPlannedNet(sp, ctx.Query, ctx.DB, ctx.Servers, ctx.Seed, ctx.LoadCapBits, ctx.env)
+		res = skew.RunStar(sp, ctx.Query, ctx.DB, ctx.Servers, ctx.Seed, env)
 	}
 	return reportFromSkew(s.Name(), ctx.Query, res), nil
 }
@@ -278,7 +280,7 @@ func (s skewedTriangleStrategy) Execute(ctx ExecContext) (*Report, error) {
 	tp := ctx.cachedPlan("triangle", func() any {
 		return skew.PrepareTriangle(ctx.Query, ctx.DB, ctx.Servers)
 	}).(*skew.TrianglePlan)
-	res := skew.RunTrianglePlannedNet(tp, ctx.Query, ctx.DB, ctx.Servers, ctx.Seed, ctx.LoadCapBits, ctx.env)
+	res := skew.RunTriangle(tp, ctx.Query, ctx.DB, ctx.Servers, ctx.Seed, ctx.runEnv())
 	return reportFromSkew(s.Name(), ctx.Query, res), nil
 }
 
@@ -295,7 +297,7 @@ func (s skewedGenericStrategy) Execute(ctx ExecContext) (*Report, error) {
 	gp := ctx.cachedPlan(fmt.Sprintf("generic|h%d", ctx.HeavyCap), func() any {
 		return skew.PrepareGeneric(ctx.Query, ctx.DB, ctx.Servers, ctx.HeavyCap)
 	}).(*skew.GenericPlan)
-	res := skew.RunGenericPlannedNet(gp, ctx.Query, ctx.DB, ctx.Servers, ctx.Seed, ctx.LoadCapBits, ctx.env)
+	res := skew.RunGeneric(gp, ctx.Query, ctx.DB, ctx.Servers, ctx.Seed, ctx.runEnv())
 	return reportFromSkew(s.Name(), ctx.Query, res), nil
 }
 
@@ -380,9 +382,9 @@ func executeMultiRound(cacheKey string, name string, plan *multiround.Plan, eps 
 	}
 	var res *multiround.ExecResult
 	if skewAware {
-		res = multiround.ExecuteSkewAwareCapMemoNet(plan, ctx.DB, ctx.Servers, ctx.Seed, ctx.HeavyCap, ctx.LoadCapBits, memo, ctx.env)
+		res = multiround.ExecuteSkewAware(plan, ctx.DB, ctx.Servers, ctx.Seed, ctx.HeavyCap, memo, ctx.runEnv())
 	} else {
-		res = multiround.ExecuteAggregateCapMemoNet(plan, ctx.DB, ctx.Servers, ctx.Seed, ctx.LoadCapBits, ap, memo, ctx.env)
+		res = multiround.Execute(plan, ctx.DB, ctx.Servers, ctx.Seed, ap, memo, ctx.runEnv())
 	}
 	rep := &Report{
 		Strategy:           name,
